@@ -1,0 +1,95 @@
+#!/usr/bin/env python3
+"""Write or check the golden table of seeded trial fingerprints.
+
+Each row pins one trial, (n, t, m, adversary, scenario, seed), to its
+``step_log_hash`` and ``output_vector_hex``.  A change that keeps every
+delivered message and every output leaves the table unchanged, so the table
+guards refactors and hot-path rewrites of the engine.
+
+    PYTHONPATH=src python3 scripts/make_golden.py            # rewrite the table
+    PYTHONPATH=src python3 scripts/make_golden.py --check    # exit 1 on any difference
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import json
+import sys
+from pathlib import Path
+
+from mbasim import NetworkConfig, run_trial
+from mbasim.adversaries import make_adversary
+from mbasim.scenarios import build_inputs, parse_call, scenario_rng
+
+TABLE = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_hashes.json"
+ADVERSARIES = ("silent", "crash_after(3)", "equivocator", "split_keeper", "random_byzantine")
+SEEDS = tuple(range(5))
+KEYS = ("n", "t", "m", "adversary", "scenario", "seed")
+
+
+def cells():
+    """(n, t, m, adversary, scenario) for every pinned configuration."""
+    for n, m, adversary in itertools.product((4, 7, 10), (1, 16), ADVERSARIES):
+        scenarios = ["unanimous", "split", "ambiguous(1)"]
+        if m > 1:
+            scenarios.append(f"ambiguous({m})")
+        for scenario in scenarios:
+            yield n, (n - 1) // 3, m, adversary, scenario
+    yield 4, 0, 4, "silent", "four-node-example"
+
+
+def fingerprint(n, t, m, adversary, scenario, seed) -> dict:
+    """One trial built the way ``mba-sim`` builds trial ``seed`` of a campaign."""
+    adv_name, adv_params = parse_call(adversary)
+    scen_name, scen_params = parse_call(scenario)
+    config = NetworkConfig(n, t, m, seed, adversary=adv_name, adversary_params=adv_params)
+    inputs = build_inputs(scen_name, scen_params, config, scenario_rng(seed))
+    record = run_trial(config, inputs, make_adversary(adv_name, adv_params))
+    return {
+        **dict(zip(KEYS, (n, t, m, adversary, scenario, seed))),
+        "step_log_hash": record.step_log_hash,
+        "output_vector_hex": record.output_vector_hex,
+    }
+
+
+def generate() -> list:
+    return [fingerprint(*cell, seed) for cell in cells() for seed in SEEDS]
+
+
+def dump(rows: list) -> str:
+    """One row per line, so a changed trial shows as a one-line diff."""
+    return "[\n" + ",\n".join(json.dumps(row) for row in rows) + "\n]\n"
+
+
+def check(path: Path = TABLE) -> list:
+    """Differences between the stored table and a fresh run, as readable lines."""
+    stored = {tuple(row[k] for k in KEYS): row for row in json.loads(path.read_text())}
+    fresh = {tuple(row[k] for k in KEYS): row for row in generate()}
+    problems = [f"missing row {key}" for key in fresh if key not in stored]
+    problems += [f"unexpected row {key}" for key in stored if key not in fresh]
+    for key, row in fresh.items():
+        if key in stored and stored[key] != row:
+            problems.append(f"{key}: stored {stored[key]}, now {row}")
+    return problems
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--check", action="store_true", help="compare instead of writing")
+    parser.add_argument("--path", type=Path, default=TABLE)
+    args = parser.parse_args()
+    if args.check:
+        problems = check(args.path)
+        for line in problems:
+            print(line)
+        print(f"{len(problems)} differences" if problems else "golden table matches")
+        return 1 if problems else 0
+    rows = generate()
+    args.path.write_text(dump(rows))
+    print(f"wrote {len(rows)} rows to {args.path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
