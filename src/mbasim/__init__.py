@@ -10,6 +10,7 @@ checks empirical halting times against the closed-form step-count bound.
 
 from .core import (
     BOT,
+    BitTally,
     GradedPair,
     MessageEnvelope,
     PayloadKind,
@@ -40,6 +41,7 @@ __all__ = [
     "BOT",
     "Adversary",
     "AdversaryView",
+    "BitTally",
     "EmpiricalHistogram",
     "GradedPair",
     "KeyPair",

@@ -13,8 +13,10 @@ change its message between steps.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import IntEnum
+from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional
 
 # "No value" marker: a legal vector component, never part of the value set.
@@ -99,8 +101,20 @@ def max_faulty(n: int) -> int:
     return (n - 1) // 3
 
 
+_INT_ONLY = frozenset({int})
+_BIT_VALUES = frozenset({0, 1})
+
+
 def is_bit_vector(payload: tuple, m: int) -> bool:
-    return len(payload) == m and all(b is not True and b is not False and b in (0, 1) for b in payload)
+    """m components, each an int 0 or 1; bools, floats and other numbers
+    equal to 0 or 1 are not bits."""
+    if len(payload) != m:
+        return False
+    if set(map(type, payload)) <= _INT_ONLY:
+        return set(payload) <= _BIT_VALUES
+    return all(
+        isinstance(b, int) and b is not True and b is not False and b in (0, 1) for b in payload
+    )
 
 
 def is_value_vector(payload: tuple, m: int) -> bool:
@@ -123,7 +137,11 @@ def well_formed(env: MessageEnvelope, m: int, kind: PayloadKind) -> bool:
 
 
 class Tally:
-    """Distinct-sender counts per (value, component) for one step."""
+    """Distinct-sender counts per (value, component) for one step.
+
+    A VALUES tally keeps one dict per component, value -> count.  A BITS
+    tally is a :class:`BitTally`, which stores the counts as two int lists.
+    """
 
     __slots__ = ("m", "admitted", "counts")
 
@@ -143,6 +161,31 @@ class Tally:
 
     def senders(self) -> set[int]:
         return set(self.admitted)
+
+
+class BitTally(Tally):
+    """A BITS tally: ``zeros[c]`` and ``ones[c]`` count the votes for 0 and 1
+    at component c."""
+
+    __slots__ = ("zeros", "ones")
+
+    def __init__(self, m: int, admitted: dict[int, MessageEnvelope], zeros: list, ones: list):
+        self.m = m
+        self.admitted = admitted
+        self.zeros = zeros
+        self.ones = ones
+
+    def count(self, value, c: int) -> int:
+        if not 0 <= c < self.m:
+            raise IndexError(f"component {c} out of range for m={self.m}")
+        if value == 0:
+            return self.zeros[c]
+        if value == 1:
+            return self.ones[c]
+        return 0
+
+    def total(self, c: int) -> int:
+        return self.zeros[c] + self.ones[c]
 
 
 _CONFLICT = object()
@@ -183,6 +226,11 @@ def ingest(
             by_sender[env.sender] = _CONFLICT
 
     admitted = {s: e for s, e in by_sender.items() if e is not _CONFLICT}
+    if kind == PayloadKind.BITS:
+        # Column sums of the admitted bit vectors count the ones.
+        ones = list(map(sum, zip(*[e.payload for e in admitted.values()]))) or [0] * m
+        voters = len(admitted)
+        return BitTally(m, admitted, [voters - k for k in ones], ones)
     counts: list[dict] = [{} for _ in range(m)]
     for env in admitted.values():
         payload = env.payload
@@ -201,11 +249,20 @@ def merge_tallies(base: Tally, extra: Tally) -> Tally:
     """
     if base.m != extra.m:
         raise ValueError("tally dimensions differ")
+    if type(base) is not type(extra):
+        raise ValueError("tally kinds differ")
     overlap = base.admitted.keys() & extra.admitted.keys()
     if overlap:
         raise ValueError(f"tally sender groups overlap: {sorted(overlap)}")
     admitted = dict(base.admitted)
     admitted.update(extra.admitted)
+    if type(base) is BitTally:
+        return BitTally(
+            base.m,
+            admitted,
+            list(map(add, base.zeros, extra.zeros)),
+            list(map(add, base.ones, extra.ones)),
+        )
     counts = []
     for c in range(base.m):
         merged = dict(base.counts[c])
@@ -246,12 +303,22 @@ def ambiguous_components(honest_vectors: list) -> int:
 # --- canonical byte encodings (step logs, record hashes, hex dumps) ---
 
 
+_BYTE_TYPES = frozenset({int, bool})
+# sender, phase, iteration, step, final flag, signature length
+_ENVELOPE_HEADER = struct.Struct(">IBIBBH")
+
+
 def encode_payload(payload: tuple) -> bytes:
     """Canonical encoding: bit vectors as b'B'+bits, value vectors as b'V'+components.
 
     Arbitrary (malformed) components survive via a repr fallback so that
     adversarial junk can still be logged and hashed deterministically.
     """
+    if set(map(type, payload)) <= _BYTE_TYPES:
+        try:
+            return b"B" + bytes(payload)
+        except ValueError:
+            pass  # an int outside 0..255: encoded below, as before
     if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
         return b"B" + bytes(payload)
     parts = [b"V"]
@@ -266,17 +333,14 @@ def encode_payload(payload: tuple) -> bytes:
     return b"".join(parts)
 
 
-def encode_envelope(env: MessageEnvelope) -> bytes:
+def encode_envelope(env: MessageEnvelope, payload_bytes: Optional[bytes] = None) -> bytes:
+    """Canonical envelope encoding; ``payload_bytes`` may supply a cached
+    ``encode_payload(env.payload)``."""
     sig = env.signature or b""
-    return b"".join(
-        (
-            env.sender.to_bytes(4, "big"),
-            bytes([env.step_id.phase]),
-            env.step_id.iteration.to_bytes(4, "big"),
-            bytes([env.step_id.step]),
-            b"\x01" if env.final else b"\x00",
-            len(sig).to_bytes(2, "big"),
-            sig,
-            encode_payload(env.payload),
-        )
+    sid = env.step_id
+    if payload_bytes is None:
+        payload_bytes = encode_payload(env.payload)
+    header = _ENVELOPE_HEADER.pack(
+        env.sender, sid.phase, sid.iteration, sid.step, 1 if env.final else 0, len(sig)
     )
+    return header + sig + payload_bytes

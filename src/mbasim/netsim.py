@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional
 
 from .core import (
@@ -30,6 +31,7 @@ from .core import (
     StepId,
     agreed_value,
     encode_envelope,
+    encode_payload,
     ingest,
     is_bit_vector,
     merge_tallies,
@@ -119,14 +121,24 @@ class Adversary:
 
 
 class StepDelivery:
-    """One step's deliveries: shared part plus per-recipient extras."""
+    """One step's deliveries: shared part plus per-recipient extras.
 
-    __slots__ = ("step_id", "shared", "extras")
+    The step encodes each delivered envelope once and carries the encodings
+    here, position for position: ``shared_encoded`` beside ``shared`` and
+    ``extras_encoded[r]`` beside ``extras[r]``.  They fix the delivery order
+    and feed the step-log hash.
+    """
 
-    def __init__(self, step_id: StepId, shared: list, extras: dict):
+    __slots__ = ("step_id", "shared", "extras", "shared_encoded", "extras_encoded")
+
+    def __init__(
+        self, step_id: StepId, shared: list, extras: dict, shared_encoded: list, extras_encoded: dict
+    ):
         self.step_id = step_id
         self.shared = shared
         self.extras = extras
+        self.shared_encoded = shared_encoded
+        self.extras_encoded = extras_encoded
 
     def inbox(self, recipient: int) -> list:
         """Every envelope delivered to ``recipient``, own broadcast included."""
@@ -158,6 +170,9 @@ class SyncNetwork:
         self.step_count = 0
         self._halted_star: dict[int, MessageEnvelope] = {}
         self._adv_star: dict[tuple, MessageEnvelope] = {}
+        # id(replayed message) -> encode_payload of it; every key is a value
+        # of _halted_star or _adv_star, which keep it alive for the trial.
+        self._replay_payloads: dict[int, bytes] = {}
         self._log = hashlib.sha256()
 
     # -- finality bookkeeping -------------------------------------------------
@@ -192,10 +207,11 @@ class SyncNetwork:
         for env in shared:
             if env.step_id != step_id:
                 raise SimulationError("honest envelope from another step")
-        replays = [
-            _restamp(env, step_id) for _, env in sorted(self._halted_star.items())
-        ]
-        shared = shared + replays
+        shared_encoded = [encode_envelope(env) for env in shared]
+        for _, star in sorted(self._halted_star.items()):
+            env, encoded = self._replay(star, step_id)
+            shared.append(env)
+            shared_encoded.append(encoded)
 
         active = sorted(honest_outgoing)
         view = AdversaryView(
@@ -229,15 +245,31 @@ class SyncNetwork:
                         per_recipient.setdefault(r, []).append(env)
                 else:
                     shared_adv.append(env)
+
+        # Encodings of this step's adversary envelopes, keyed by identity:
+        # equal payloads may encode differently ((1.0, 0) == (1, 0)).  Every
+        # keyed envelope is delivered, so it outlives the step and its id.
+        encodings: dict[int, bytes] = {}
+
+        def encoded(env: MessageEnvelope) -> tuple:
+            data = encodings.get(id(env))
+            if data is None:
+                data = encodings[id(env)] = encode_envelope(env)
+            return env, data
+
+        # An encoding starts with the sender's id in big-endian, so ordering
+        # by encoding orders by (sender, encoding).
         if shared_adv:
-            shared_adv.sort(key=lambda e: (e.sender, encode_envelope(e)))
-            shared = shared + shared_adv
-            for env in shared_adv:
+            pairs = sorted(map(encoded, shared_adv), key=itemgetter(1))
+            shared = shared + [env for env, _ in pairs]
+            shared_encoded += [data for _, data in pairs]
+            for env, _ in pairs:
                 if env.final and is_bit_vector(env.payload, self.config.m):
                     for r in self.honest_ids:
                         self._adv_star.setdefault((env.sender, r), env)
 
         extras: dict[int, list] = {}
+        extras_encoded: dict[int, list] = {}
         for r in self.honest_ids:
             out = []
             covered = set()
@@ -246,19 +278,20 @@ class SyncNetwork:
                 star = self._adv_star.get((env.sender, r))
                 if star is not None:
                     if env.sender not in covered:
-                        out.append(_restamp(star, step_id))
+                        out.append(self._replay(star, step_id))
                         covered.add(env.sender)
                     continue
-                out.append(env)
+                out.append(encoded(env))
             for (s, rr), star in self._adv_star.items():
-                if rr == r and s not in covered and not any(e.sender == s for e in out):
-                    out.append(_restamp(star, step_id))
+                if rr == r and s not in covered and not any(e.sender == s for e, _ in out):
+                    out.append(self._replay(star, step_id))
             if out:
-                out.sort(key=lambda e: (e.sender, encode_envelope(e)))
-                extras[r] = out
+                out.sort(key=itemgetter(1))
+                extras[r] = [env for env, _ in out]
+                extras_encoded[r] = [data for _, data in out]
         self._register_adversary_finals(extras)
 
-        delivery = StepDelivery(step_id, shared, extras)
+        delivery = StepDelivery(step_id, shared, extras, shared_encoded, extras_encoded)
         self._hash_step(delivery)
         if self.collect_steps:
             self.steps.append(
@@ -268,18 +301,26 @@ class SyncNetwork:
         self.adversary.end_step(view)
         return delivery
 
+    def _replay(self, star: MessageEnvelope, step_id: StepId) -> tuple:
+        """``star`` restamped for this step, with its encoding.
+
+        The payload encoding is cached per replayed message: a halted
+        sender's payload never changes, only the step it is stamped with.
+        """
+        env = _restamp(star, step_id)
+        payload = self._replay_payloads.get(id(star))
+        if payload is None:
+            payload = self._replay_payloads[id(star)] = encode_payload(star.payload)
+        return env, encode_envelope(env, payload)
+
     def _hash_step(self, delivery: StepDelivery) -> None:
-        h = self._log
-        h.update(b"step")
-        h.update(bytes([delivery.step_id.phase]))
-        h.update(delivery.step_id.iteration.to_bytes(4, "big"))
-        h.update(bytes([delivery.step_id.step]))
-        for env in delivery.shared:
-            h.update(encode_envelope(env))
-        for r in sorted(delivery.extras):
-            h.update(b"to" + r.to_bytes(4, "big"))
-            for env in delivery.extras[r]:
-                h.update(encode_envelope(env))
+        sid = delivery.step_id
+        parts = [b"step", bytes([sid.phase]), sid.iteration.to_bytes(4, "big"), bytes([sid.step])]
+        parts += delivery.shared_encoded
+        for r in sorted(delivery.extras_encoded):
+            parts.append(b"to" + r.to_bytes(4, "big"))
+            parts += delivery.extras_encoded[r]
+        self._log.update(b"".join(parts))
 
     def log_hash(self) -> str:
         return self._log.hexdigest()

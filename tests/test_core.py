@@ -1,5 +1,9 @@
 """Tally semantics: discarding rules, counting, and the agreement oracle."""
 
+from decimal import Decimal
+from enum import IntEnum
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,8 +16,10 @@ from mbasim.core import (
     Phase,
     StepId,
     c_agreement,
+    encode_envelope,
     encode_payload,
     ingest,
+    is_bit_vector,
     merge_tallies,
     one_third_majority,
     two_thirds_majority,
@@ -128,6 +134,26 @@ class TestIngest:
     def test_bool_components_are_not_bits(self):
         tally = ingest([bit_env(0, (True,))], m=1, kind=PayloadKind.BITS)
         assert tally.senders() == set()
+
+    def test_numbers_equal_to_bits_are_not_bits(self):
+        msgs = [bit_env(0, (1.0, 0)), bit_env(1, (True, 0)), bit_env(2, (0, 1))]
+        tally = ingest(msgs, m=2, kind=PayloadKind.BITS)
+        assert tally.senders() == {2}
+        assert tally.count(1, 0) == 0
+        assert tally.count(0, 0) == 1
+        assert type(tally.count(0, 0)) is int
+
+    @pytest.mark.parametrize(
+        "payload",
+        [(0.0, 1.0), (1.0, 0), (Decimal(1), 0), (Fraction(0), 1), (True, 0), (0, False), (2, 0), (-1, 1)],
+    )
+    def test_is_bit_vector_rejects_non_bits(self, payload):
+        assert not is_bit_vector(payload, 2)
+
+    @pytest.mark.parametrize("payload", [(0, 1), (1, 1), (Phase.MGC, Phase.MBBA)])
+    def test_is_bit_vector_accepts_ints(self, payload):
+        assert is_bit_vector(payload, 2)
+        assert not is_bit_vector(payload, 3)
 
     def test_bad_signature_copy_is_not_equivocation(self):
         # unique signatures: only one signature verifies, so a tampered copy
@@ -278,3 +304,193 @@ def test_payload_encoding_discriminates_bits_and_values(bits):
     assert as_bits != as_values
     assert as_bits.startswith(b"B")
     assert as_values.startswith(b"V")
+
+
+# -- differential tests: fast representations against plain references --------
+
+SIG_OK = lambda env: env.signature == b"ok"  # noqa: E731
+_JUNK_BITS = [1.0, 0.0, True, False, 2, -1, b"\x01", None, Fraction(1), Decimal(0)]
+
+
+@st.composite
+def bit_batches(draw, m=3, n=6, first_sender=0):
+    """A shuffled BITS inbox with duplicates, equivocation, malformed, final
+    and badly signed envelopes; fresh well-formed ones are signed b"ok"."""
+    envs = []
+    for sender in range(first_sender, first_sender + n):
+        shape = draw(
+            st.sampled_from(["none", "one", "dup", "conflict", "malformed", "final", "bad_sig"])
+        )
+        if shape == "none":
+            continue
+        bits = tuple(draw(st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m)))
+        if shape == "malformed":
+            junk = list(bits)
+            junk[draw(st.integers(0, m - 1))] = draw(st.sampled_from(_JUNK_BITS))
+            payload = draw(st.sampled_from([tuple(junk), bits[:-1], bits + (0,)]))
+            envs.append(bit_env(sender, payload, sig=b"ok"))
+            continue
+        sig = {"final": None, "bad_sig": b"bad"}.get(shape, b"ok")
+        envs.append(bit_env(sender, bits, final=shape == "final", sig=sig))
+        if shape == "dup":
+            envs.append(bit_env(sender, bits, sig=b"ok"))
+        elif shape == "conflict":
+            envs.append(bit_env(sender, tuple(1 - b for b in bits), sig=b"ok"))
+    return draw(st.permutations(envs))
+
+
+def _reference_bit_recount(envs, m, signature_check=None):
+    """The BITS discarding rules written out plainly, counting in dicts."""
+    distinct: dict = {}
+    for env in envs:
+        p = env.payload
+        if not (
+            len(p) == m
+            and all(isinstance(b, int) and not isinstance(b, bool) and b in (0, 1) for b in p)
+        ):
+            continue
+        if signature_check is not None and not env.final and not signature_check(env):
+            continue
+        seen = distinct.setdefault(env.sender, [])
+        if env not in seen:
+            seen.append(env)
+    admitted = {s: seen[0] for s, seen in distinct.items() if len(seen) == 1}
+    counts = [{} for _ in range(m)]
+    for env in admitted.values():
+        for c, b in enumerate(env.payload):
+            counts[c][b] = counts[c].get(b, 0) + 1
+    return set(admitted), counts
+
+
+def _assert_matches_recount(tally, envs, m, signature_check):
+    senders, counts = _reference_bit_recount(envs, m, signature_check)
+    assert tally.senders() == senders
+    for c in range(m):
+        for v in (0, 1, 2, True):
+            assert tally.count(v, c) == counts[c].get(v, 0)
+        assert tally.total(c) == sum(counts[c].values())
+
+
+@given(bit_batches(), st.booleans())
+def test_bit_ingest_matches_reference_recount(envs, checked):
+    check = SIG_OK if checked else None
+    tally = ingest(envs, m=3, kind=PayloadKind.BITS, signature_check=check)
+    _assert_matches_recount(tally, envs, 3, check)
+
+
+@given(bit_batches(), bit_batches(first_sender=10), st.booleans())
+def test_bit_merge_matches_reference_recount(first, second, checked):
+    check = SIG_OK if checked else None
+    merged = merge_tallies(
+        ingest(first, m=3, kind=PayloadKind.BITS, signature_check=check),
+        ingest(second, m=3, kind=PayloadKind.BITS, signature_check=check),
+    )
+    _assert_matches_recount(merged, first + second, 3, check)
+
+
+@given(bit_batches(m=2, n=4), bit_batches(m=2, n=4, first_sender=10))
+def test_merge_matches_joint_ingest_on_disjoint_groups_bits(first, second):
+    joint = ingest(first + second, m=2, kind=PayloadKind.BITS)
+    merged = merge_tallies(
+        ingest(first, m=2, kind=PayloadKind.BITS),
+        ingest(second, m=2, kind=PayloadKind.BITS),
+    )
+    assert (merged.zeros, merged.ones) == (joint.zeros, joint.ones)
+    assert merged.senders() == joint.senders()
+
+
+def test_merge_rejects_mixed_kinds():
+    bits = ingest([bit_env(0, (1,))], m=1, kind=PayloadKind.BITS)
+    values = ingest([val_env(1, (b"a",))], m=1, kind=PayloadKind.VALUES)
+    with pytest.raises(ValueError):
+        merge_tallies(bits, values)
+
+
+def _reference_encode_payload(payload):
+    """encode_payload before its fast path."""
+    if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
+        return b"B" + bytes(payload)
+    parts = [b"V"]
+    for v in payload:
+        if v is BOT:
+            parts.append(b"\x00")
+        elif isinstance(v, bytes):
+            parts.append(b"\x01" + len(v).to_bytes(4, "big") + v)
+        else:
+            blob = repr(v).encode()
+            parts.append(b"\x02" + len(blob).to_bytes(4, "big") + blob)
+    return b"".join(parts)
+
+
+def _reference_encode_envelope(env):
+    """encode_envelope before the packed header."""
+    sig = env.signature or b""
+    return b"".join(
+        (
+            env.sender.to_bytes(4, "big"),
+            bytes([env.step_id.phase]),
+            env.step_id.iteration.to_bytes(4, "big"),
+            bytes([env.step_id.step]),
+            b"\x01" if env.final else b"\x00",
+            len(sig).to_bytes(2, "big"),
+            sig,
+            _reference_encode_payload(env.payload),
+        )
+    )
+
+
+def _reference_is_bit_vector(payload, m):
+    """is_bit_vector before its fast path, with the int-only fix: the old
+    check let floats and other numbers equal to 0 or 1 through."""
+    return len(payload) == m and all(
+        isinstance(b, int) and b is not True and b is not False and b in (0, 1) for b in payload
+    )
+
+
+class _Level(IntEnum):
+    LOW = 0
+    HIGH = 1
+    OFF_SCALE = 300
+
+
+_components = st.one_of(
+    st.booleans(),
+    st.integers(-300, 300),
+    st.sampled_from(list(_Level)),
+    st.floats(),
+    st.binary(max_size=3),
+    st.none(),
+    st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from([Fraction(1), Decimal(0)]),
+)
+_payloads = st.one_of(
+    st.lists(st.sampled_from([0, 1]), max_size=5),
+    st.lists(st.integers(-1, 256), max_size=5),
+    st.lists(st.one_of(st.booleans(), st.integers(0, 1)), max_size=5),
+    st.lists(_components, max_size=5),
+).map(tuple)
+
+
+@given(_payloads)
+def test_encode_payload_matches_reference(payload):
+    assert encode_payload(payload) == _reference_encode_payload(payload)
+
+
+@given(_payloads, st.integers(0, 5))
+def test_is_bit_vector_matches_reference(payload, m):
+    assert is_bit_vector(payload, m) == _reference_is_bit_vector(payload, m)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(list(Phase)),
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 255),
+    _payloads,
+    st.one_of(st.none(), st.binary(max_size=40)),
+    st.sampled_from([False, True, 0, 2]),
+)
+def test_encode_envelope_matches_reference(sender, phase, iteration, step, payload, sig, final):
+    env = MessageEnvelope(sender, StepId(phase, iteration, step), payload, signature=sig, final=final)
+    assert encode_envelope(env) == _reference_encode_envelope(env)
+    assert encode_envelope(env, encode_payload(payload)) == encode_envelope(env)
