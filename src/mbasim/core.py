@@ -318,7 +318,7 @@ def encode_payload(payload: tuple) -> bytes:
         try:
             return b"B" + bytes(payload)
         except ValueError:
-            pass  # an int outside 0..255: encoded below, as before
+            pass  # an int outside 0..255 takes the general encoding below
     if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
         return b"B" + bytes(payload)
     parts = [b"V"]

@@ -407,7 +407,7 @@ def test_merge_rejects_mixed_kinds():
 
 
 def _reference_encode_payload(payload):
-    """encode_payload before its fast path."""
+    """encode_payload without its fast path for plain ints."""
     if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
         return b"B" + bytes(payload)
     parts = [b"V"]
@@ -423,7 +423,7 @@ def _reference_encode_payload(payload):
 
 
 def _reference_encode_envelope(env):
-    """encode_envelope before the packed header."""
+    """encode_envelope with its header built field by field."""
     sig = env.signature or b""
     return b"".join(
         (
@@ -440,8 +440,7 @@ def _reference_encode_envelope(env):
 
 
 def _reference_is_bit_vector(payload, m):
-    """is_bit_vector before its fast path, with the int-only fix: the old
-    check let floats and other numbers equal to 0 or 1 through."""
+    """is_bit_vector without its fast path for plain ints."""
     return len(payload) == m and all(
         isinstance(b, int) and b is not True and b is not False and b in (0, 1) for b in payload
     )
