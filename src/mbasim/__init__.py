@@ -21,8 +21,8 @@ from .core import (
     ingest,
 )
 from .crypto import KeyPair, KeyRegistry, common_string, derive_coin, digest
-from .mba import TrialRecord, grades_to_bits, resolve_output, run_trial
-from .mbba import MbbaPhase, MbbaState
+from .mba import TrialRecord, resolve_output, run_trial
+from .mbba import MbbaPhase, MbbaState, grades_to_bits
 from .mgc import MgcPhase, MgcState
 from .netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
 from .adversaries import STRATEGIES, make_adversary

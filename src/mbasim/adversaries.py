@@ -34,7 +34,7 @@ from .core import (
     two_thirds_majority,
 )
 from .crypto import digest, signing_message
-from .mbba import MbbaPhase, MbbaState
+from .mbba import MbbaPhase, MbbaState, grades_to_bits, signature_check
 from .mgc import MgcState
 from .netsim import Adversary, AdversaryView
 
@@ -133,34 +133,20 @@ class CrashAfterAdversary(Adversary):
         elif sid.phase == Phase.MGC and sid.step == 2:
             tally = ingest(inbox, m=m, kind=PayloadKind.VALUES)
             for z, st in self.mgc.items():
-                pairs = st.output_determination(tally)
-                bits = [0 if p.grade == 2 else 1 for p in pairs]
+                bits = grades_to_bits(st.output_determination(tally))
                 self.mbba[z] = MbbaState(
                     z, self.config.n, m, self.registry.keypair(z), self.common, bits
                 )
             self.next_out = {z: st.outgoing() for z, st in self.mbba.items()}
         else:
-            check = None
-            if sid.step == 3:
-                message = signing_message(self.common, sid.iteration)
-                check = lambda env: self.registry.verify(env.sender, message, env.signature)
+            check = signature_check(self.registry, self.common, sid)
             tally = ingest(inbox, m=m, kind=PayloadKind.BITS, signature_check=check)
             self.next_out = {}
             for z, st in self.mbba.items():
                 if st.phase == MbbaPhase.HALTED:
                     continue
-                if sid.step == 1:
-                    st.apply_step1(tally)
-                elif sid.step == 2:
-                    st.apply_step2(tally)
-                else:
-                    sigs = [
-                        (e.sender, e.signature)
-                        for e in tally.admitted.values()
-                        if e.signature is not None and not e.final
-                    ]
-                    st.apply_step3(tally, sigs)
-                if st.phase == MbbaPhase.HALTED and st.final_envelope is not None:
+                st.apply(tally)
+                if st.phase == MbbaPhase.HALTED:
                     # one last finality broadcast, replayed by the engine afterwards
                     self.next_out[z] = st.final_envelope
                 else:
@@ -249,15 +235,6 @@ class SplitKeeperAdversary(Adversary):
 
     # -- value steps (graded consensus) ------------------------------------
 
-    def _value_counts(self, view: AdversaryView) -> list:
-        m = self.config.m
-        counts: list[dict] = [{} for _ in range(m)]
-        for env in view.honest_envelopes:
-            for c in range(m):
-                v = env.payload[c]
-                counts[c][v] = counts[c].get(v, 0) + 1
-        return counts
-
     def _best_value(self, counts: dict):
         best, best_count = None, 0
         for v, k in counts.items():
@@ -270,7 +247,7 @@ class SplitKeeperAdversary(Adversary):
     def _act_values(self, view: AdversaryView):
         thr, flo, t = self._sizes()
         m = self.config.m
-        counts = self._value_counts(view)
+        counts = ingest(view.honest_envelopes, m=m, kind=PayloadKind.VALUES).counts
         active = view.active_honest
         # Step 1 primes a minimal relay majority; step 2 grades a low half at
         # 2 and starves the rest down to grade 1.
@@ -296,19 +273,6 @@ class SplitKeeperAdversary(Adversary):
 
     # -- bit steps (binary agreement) ---------------------------------------
 
-    def _bit_counts(self, view: AdversaryView) -> list:
-        m = self.config.m
-        zeros = [0] * m
-        ones = [0] * m
-        for env in view.honest_envelopes:
-            payload = env.payload
-            for c in range(m):
-                if payload[c] == 0:
-                    zeros[c] += 1
-                else:
-                    ones[c] += 1
-        return [zeros, ones]
-
     def _dead_zone_zero_votes(self, h0: int, h1: int, flo: int, t: int) -> int:
         """How many of the t votes should be 0 to keep both counts <= flo."""
         low = max(0, h1 + t - flo)
@@ -321,7 +285,8 @@ class SplitKeeperAdversary(Adversary):
         thr, flo, t = self._sizes()
         m = self.config.m
         step = view.step_id.step
-        zeros, ones = self._bit_counts(view)
+        tally = ingest(view.honest_envelopes, m=m, kind=PayloadKind.BITS)
+        zeros, ones = tally.zeros, tally.ones
         active = view.active_honest
         act = len(active)
 

@@ -279,8 +279,7 @@ def c_agreement(honest_vectors: list, c: int) -> bool:
     """
     if not honest_vectors:
         raise ValueError("need at least one vector")
-    first = honest_vectors[0][c]
-    return all(vec[c] == first for vec in honest_vectors[1:])
+    return agreed_value(honest_vectors, c)[0]
 
 
 def agreed_value(honest_vectors: list, c: int):

@@ -20,8 +20,8 @@ from .core import (
     encode_payload,
     is_value_vector,
 )
-from .crypto import KeyRegistry, common_string, digest, signing_message
-from .mbba import Branch, MbbaPhase, MbbaState
+from .crypto import KeyRegistry, common_string, digest
+from .mbba import Branch, MbbaPhase, MbbaState, grades_to_bits, signature_check
 from .mgc import MgcState
 from .netsim import (
     Adversary,
@@ -34,11 +34,6 @@ from .netsim import (
 )
 
 ITERATION_CAP = 500
-
-
-def grades_to_bits(pairs) -> list:
-    """Componentwise map: grade 2 votes 0 (keep the value), lower grades vote 1."""
-    return [0 if p.grade == 2 else 1 for p in pairs]
 
 
 def resolve_output(values: tuple, agreed_bits) -> tuple:
@@ -114,6 +109,20 @@ def adversary_rng(seed: int) -> random.Random:
     return random.Random(int.from_bytes(digest(seed.to_bytes(8, "big") + b"adversary"), "big"))
 
 
+def run_mgc(net: SyncNetwork, initial_vectors) -> dict:
+    """Graded consensus among the network's honest nodes: broadcast, relay
+    supermajorities, grade.  Returns each honest node's graded pairs."""
+    n, m = net.config.n, net.config.m
+    states = {i: MgcState(i, n, m, tuple(initial_vectors[i])) for i in net.honest_ids}
+    out1 = {i: st.step1_outgoing() for i, st in states.items()}
+    d1 = net.run_step(out1[net.honest_ids[0]].step_id, out1, PayloadKind.VALUES, states)
+    t1 = net.tallies(d1, PayloadKind.VALUES)
+    out2 = {i: st.step2_compute(t1[i]) for i, st in states.items()}
+    d2 = net.run_step(out2[net.honest_ids[0]].step_id, out2, PayloadKind.VALUES, states)
+    t2 = net.tallies(d2, PayloadKind.VALUES)
+    return {i: st.output_determination(t2[i]) for i, st in states.items()}
+
+
 def run_trial(
     config: NetworkConfig,
     initial_vectors,
@@ -140,15 +149,7 @@ def run_trial(
 
     violations: list[str] = []
 
-    # Graded consensus: broadcast, relay supermajorities, grade.
-    mgc_states = {i: MgcState(i, n, m, tuple(initial_vectors[i])) for i in honest}
-    out1 = {i: st.step1_outgoing() for i, st in mgc_states.items()}
-    d1 = net.run_step(out1[honest[0]].step_id, out1, PayloadKind.VALUES, mgc_states)
-    t1 = net.tallies(d1, PayloadKind.VALUES)
-    out2 = {i: st.step2_compute(t1[i]) for i, st in mgc_states.items()}
-    d2 = net.run_step(out2[honest[0]].step_id, out2, PayloadKind.VALUES, mgc_states)
-    t2 = net.tallies(d2, PayloadKind.VALUES)
-    pairs = {i: st.output_determination(t2[i]) for i, st in mgc_states.items()}
+    pairs = run_mgc(net, initial_vectors)
     mgc_values = {i: tuple(p.value for p in pairs[i]) for i in honest}
 
     # Binary agreement on which components keep their graded value.
@@ -176,35 +177,17 @@ def run_trial(
         sid = lead.step_id()
         outgoing = {i: st.outgoing() for i, st in active.items()}
         delivery = net.run_step(sid, outgoing, PayloadKind.BITS, mbba_states)
-        check = None
-        if sid.step == 3:
-            message = signing_message(common, sid.iteration)
-            check = lambda env: registry.verify(env.sender, message, env.signature)
-        tallies = net.tallies(delivery, PayloadKind.BITS, check)
+        tallies = net.tallies(delivery, PayloadKind.BITS, signature_check(registry, common, sid))
 
         branch_reports = {}
         newly_finalized = []
         for i, st in active.items():
-            tally = tallies[i]
-            if sid.step == 1:
-                branches = st.apply_step1(tally)
-                finalizing = Branch.THRESHOLD_ZERO
-            elif sid.step == 2:
-                branches = st.apply_step2(tally)
-                finalizing = Branch.THRESHOLD_ONE
-            else:
-                sigs = [
-                    (e.sender, e.signature)
-                    for e in tally.admitted.values()
-                    if e.signature is not None and not e.final
-                ]
-                branches = st.apply_step3(tally, sigs)
-                finalizing = None
-            branch_reports[i] = branches
-            if finalizing is not None:
-                newly_finalized.extend(
-                    (i, c) for c, b in enumerate(branches) if b == finalizing
-                )
+            branches = branch_reports[i] = st.apply(tallies[i])
+            # A component not skipped (its flag was clear) whose flag is now
+            # set was finalized by this step.
+            newly_finalized.extend(
+                (i, c) for c, b in enumerate(branches) if b != Branch.SKIPPED and st.flags[c]
+            )
         mbba_steps += 1
 
         for i, st in active.items():

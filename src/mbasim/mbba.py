@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Optional
 
-from .core import MessageEnvelope, Phase, StepId, Tally, two_thirds_majority
+from .core import BitTally, MessageEnvelope, Phase, StepId, two_thirds_majority
 from .crypto import KeyPair, derive_coin, signing_message
 
 
@@ -33,6 +33,34 @@ class Branch(IntEnum):
     THRESHOLD_ONE = 2   # >2n/3 support for 1
     DEFAULT = 3         # step's default bit (steps 1 and 2)
     COIN = 4            # shared coin bit (step 3)
+
+
+_THRESHOLD = (Branch.THRESHOLD_ZERO, Branch.THRESHOLD_ONE)
+
+# Per step: the bit its coin is fixed to, and the phase that follows.  A
+# supermajority for the fixed bit finalizes, and the fixed bit fills the
+# components without a supermajority.  None: the coin is flipped.
+_STEPS = {
+    MbbaPhase.STEP1: (0, MbbaPhase.STEP2),
+    MbbaPhase.STEP2: (1, MbbaPhase.STEP3),
+    MbbaPhase.STEP3: (None, MbbaPhase.STEP1),
+}
+
+
+def grades_to_bits(pairs) -> list:
+    """Componentwise map from graded consensus to the binary agreement's
+    input: grade 2 votes 0 (keep the value), lower grades vote 1."""
+    return [0 if p.grade == 2 else 1 for p in pairs]
+
+
+def signature_check(registry, common: bytes, step_id: StepId):
+    """The tally's admission check for ``step_id``: in the coin step a fresh
+    message must carry the sender's signature of the iteration's signing
+    message; the other steps check nothing (None)."""
+    if step_id.step != MbbaPhase.STEP3.value:
+        return None
+    message = signing_message(common, step_id.iteration)
+    return lambda env: registry.verify(env.sender, message, env.signature)
 
 
 @dataclass
@@ -83,81 +111,62 @@ class MbbaState:
 
     # -- state transitions ---------------------------------------------------
 
-    def apply_step1(self, tally: Tally) -> list[Branch]:
-        """Coin-Fixed-To-0: finalize zeros on a supermajority, default to 0."""
-        if self.phase != MbbaPhase.STEP1:
-            raise RuntimeError(f"apply_step1 in phase {self.phase}")
-        threshold = two_thirds_majority(self.n)
-        branches = []
-        for c in range(self.m):
-            if self.flags[c]:
-                branches.append(Branch.SKIPPED)
-            elif tally.count(0, c) >= threshold:
-                self.bits[c] = 0
-                self.flags[c] = 1
-                self.finalized_at[c] = self.iteration
-                branches.append(Branch.THRESHOLD_ZERO)
-            elif tally.count(1, c) >= threshold:
-                self.bits[c] = 1
-                branches.append(Branch.THRESHOLD_ONE)
-            else:
-                self.bits[c] = 0
-                branches.append(Branch.DEFAULT)
-        if self.exit_check() is None:
-            self.phase = MbbaPhase.STEP2
-        return branches
+    def apply(self, tally: BitTally) -> list[Branch]:
+        """One step of the loop on this step's tally.
 
-    def apply_step2(self, tally: Tally) -> list[Branch]:
-        """Coin-Fixed-To-1: mirror image of step 1 with the bit roles swapped."""
-        if self.phase != MbbaPhase.STEP2:
-            raise RuntimeError(f"apply_step2 in phase {self.phase}")
+        A supermajority for a bit sets that bit; in a Coin-Fixed-To-b step a
+        supermajority for b also finalizes the component.  Components with no
+        supermajority take b, or in the Coin-Genuinely-Flipped step the coin
+        derived from the tally's fresh signatures.
+        """
+        rule = _STEPS.get(self.phase)
+        if rule is None:
+            raise RuntimeError("MBBA transition after halting")
+        fixed, after = rule
         threshold = two_thirds_majority(self.n)
-        branches = []
-        for c in range(self.m):
-            if self.flags[c]:
-                branches.append(Branch.SKIPPED)
-            elif tally.count(1, c) >= threshold:
-                self.bits[c] = 1
-                self.flags[c] = 1
-                self.finalized_at[c] = self.iteration
-                branches.append(Branch.THRESHOLD_ONE)
-            elif tally.count(0, c) >= threshold:
-                self.bits[c] = 0
-                branches.append(Branch.THRESHOLD_ZERO)
-            else:
-                self.bits[c] = 1
-                branches.append(Branch.DEFAULT)
-        if self.exit_check() is None:
-            self.phase = MbbaPhase.STEP3
-        return branches
-
-    def apply_step3(self, tally: Tally, valid_sigs) -> list[Branch]:
-        """Coin-Genuinely-Flipped: no finalization; undecided components take
-        the shared coin bit."""
-        if self.phase != MbbaPhase.STEP3:
-            raise RuntimeError(f"apply_step3 in phase {self.phase}")
-        threshold = two_thirds_majority(self.n)
+        zeros, ones = tally.zeros, tally.ones
+        bits, flags = self.bits, self.flags
         coin = None
         branches = []
         for c in range(self.m):
-            if self.flags[c]:
+            if flags[c]:
                 branches.append(Branch.SKIPPED)
-            elif tally.count(0, c) >= threshold:
-                self.bits[c] = 0
-                branches.append(Branch.THRESHOLD_ZERO)
-            elif tally.count(1, c) >= threshold:
-                self.bits[c] = 1
-                branches.append(Branch.THRESHOLD_ONE)
+            elif zeros[c] >= threshold or ones[c] >= threshold:
+                # At most n senders are admitted, so zeros[c] and ones[c]
+                # cannot both exceed 2n/3: which one is tested first does
+                # not matter.
+                bit = 0 if zeros[c] >= threshold else 1
+                bits[c] = bit
+                branches.append(_THRESHOLD[bit])
+                if bit == fixed:
+                    flags[c] = 1
+                    self.finalized_at[c] = self.iteration
+            elif fixed is not None:
+                bits[c] = fixed
+                branches.append(Branch.DEFAULT)
             else:
                 if coin is None:
-                    if not valid_sigs:
-                        raise RuntimeError("no valid signatures: own message missing")
-                    coin = derive_coin(valid_sigs, self.m)
-                self.bits[c] = coin[c]
+                    coin = self._coin(tally)
+                bits[c] = coin[c]
                 branches.append(Branch.COIN)
-        self.iteration += 1
-        self.phase = MbbaPhase.STEP1
+        if fixed is None:
+            self.iteration += 1
+        elif self.exit_check() is not None:
+            return branches
+        self.phase = after
         return branches
+
+    def _coin(self, tally: BitTally) -> list:
+        """The shared coin from the signatures on the tally's fresh messages;
+        a final message never contributes one."""
+        sigs = [
+            (e.sender, e.signature)
+            for e in tally.admitted.values()
+            if e.signature is not None and not e.final
+        ]
+        if not sigs:
+            raise RuntimeError("no valid signatures: own message missing")
+        return derive_coin(sigs, self.m)
 
     def exit_check(self) -> Optional[tuple]:
         """Halt once every flag is set: fix the output and queue the final

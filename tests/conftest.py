@@ -3,31 +3,19 @@
 import pytest
 
 from mbasim.adversaries import make_adversary
-from mbasim.core import PayloadKind
 from mbasim.crypto import KeyRegistry, common_string
-from mbasim.mba import adversary_rng
-from mbasim.mgc import MgcState
+from mbasim.mba import adversary_rng, run_mgc
 from mbasim.netsim import Adversary, NetworkConfig, SyncNetwork
 
 
 def run_mgc_phase(config: NetworkConfig, initial_vectors, adversary=None):
     """Drive only the graded-consensus steps; returns per-honest-node outputs."""
-    n, t, m = config.n, config.t, config.m
-    honest = list(range(n - t))
-    registry = KeyRegistry.from_seed(config.seed, n)
+    registry = KeyRegistry.from_seed(config.seed, config.n)
     common = common_string(config.seed)
     if adversary is None:
         adversary = Adversary()
     adversary.setup(config, registry, common, initial_vectors, adversary_rng(config.seed))
-    net = SyncNetwork(config, adversary)
-    states = {i: MgcState(i, n, m, tuple(initial_vectors[i])) for i in honest}
-    out1 = {i: st.step1_outgoing() for i, st in states.items()}
-    d1 = net.run_step(out1[honest[0]].step_id, out1, PayloadKind.VALUES, states)
-    t1 = net.tallies(d1, PayloadKind.VALUES)
-    out2 = {i: st.step2_compute(t1[i]) for i, st in states.items()}
-    d2 = net.run_step(out2[honest[0]].step_id, out2, PayloadKind.VALUES, states)
-    t2 = net.tallies(d2, PayloadKind.VALUES)
-    return {i: st.output_determination(t2[i]) for i, st in states.items()}
+    return run_mgc(SyncNetwork(config, adversary), initial_vectors)
 
 
 def build_adversary(name: str, params=()):

@@ -7,6 +7,7 @@ from mbasim.adversaries import make_adversary
 from mbasim.core import MessageEnvelope, PayloadKind, Phase, StepId, ingest
 from mbasim.crypto import KeyRegistry, common_string, signing_message
 from mbasim.mba import adversary_rng, run_trial
+from mbasim.mbba import signature_check
 from mbasim.netsim import AdversaryView, NetworkConfig
 from mbasim.scenarios import build_inputs, scenario_rng
 
@@ -43,11 +44,27 @@ class TestCrashAfter:
         silent = run_with("silent", (), seed=13)
         assert crash.step_log_hash == silent.step_log_hash
 
-    def test_long_lived_crash_behaves_honestly(self):
-        # crash far beyond trial length: the corrupt nodes are honest peers
-        rec = run_with("crash_after", (10_000,), scenario=("unanimous", ()), seed=14)
-        assert rec.consistency is True
-        assert not rec.monitor_violations
+    @pytest.mark.parametrize("seed", [12, 13, 14])
+    @pytest.mark.parametrize(
+        "scenario",
+        [("unanimous", ()), ("split", ()), ("ambiguous", (1,)), ("ambiguous", (4,))],
+        ids=["unanimous", "split", "ambiguous1", "ambiguous4"],
+    )
+    @pytest.mark.parametrize("n", [4, 7, 10])
+    def test_long_lived_crash_behaves_honestly(self, n, scenario, seed):
+        # crash far beyond trial length: the corrupt nodes are honest peers,
+        # so every node hears what it would hear if all n nodes were honest
+        t, m = (n - 1) // 3, 4
+        config = NetworkConfig(n, t, m, seed, adversary="crash_after")
+        inputs = build_inputs(scenario[0], scenario[1], config, scenario_rng(seed))
+        crash = run_trial(config, inputs, build_adversary("crash_after", (10**6,)))
+        honest = run_trial(NetworkConfig(n, 0, m, seed), inputs)
+        assert crash.halted and crash.agreement and not crash.monitor_violations
+        assert crash.outputs[0] == honest.outputs[0]
+        assert crash.consistency == honest.consistency
+        assert crash.mbba_iterations == honest.mbba_iterations
+        assert crash.comm_steps_raw == honest.comm_steps_raw
+        assert crash.step_log_hash == honest.step_log_hash
 
     def test_mid_run_crash_keeps_agreement(self):
         for seed in range(10):
@@ -85,11 +102,8 @@ class TestSplitKeeper:
 
     def tallies(self, view, sends):
         out = {}
+        check = signature_check(self.registry, self.common, view.step_id)
         for r in view.honest_ids:
-            check = None
-            if view.step_id.step == 3:
-                message = signing_message(self.common, view.step_id.iteration)
-                check = lambda env: self.registry.verify(env.sender, message, env.signature)
             out[r] = ingest(
                 view.honest_envelopes + sends.get(r, []),
                 m=1,

@@ -14,7 +14,7 @@ from mbasim.core import (
 )
 from mbasim.crypto import KeyRegistry, common_string, signing_message
 from mbasim.mba import adversary_rng, run_trial
-from mbasim.mbba import Branch
+from mbasim.mbba import Branch, signature_check
 from mbasim.netsim import (
     Adversary,
     NetworkConfig,
@@ -203,9 +203,7 @@ class TestFastPathTallies:
             sig = registry.sign(i, message) if step == 3 else None
             outgoing[i] = MessageEnvelope(i, sid, bits, signature=sig)
         delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
-        check = None
-        if step == 3:
-            check = lambda env: registry.verify(env.sender, message, env.signature)
+        check = signature_check(registry, common, sid)
         fast = net.tallies(delivery, PayloadKind.BITS, check)
         for r in range(n - t):
             direct = ingest(delivery.inbox(r), m=m, kind=PayloadKind.BITS, signature_check=check)
