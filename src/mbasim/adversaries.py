@@ -63,20 +63,15 @@ class EquivocatorAdversary(Adversary):
             if first == last:
                 last = tuple(b"\xee" for _ in range(m))
             variants = [first, last]
-        signature = view.step_id.step == 3 and view.step_id.phase == Phase.MBBA
-        sends: dict[int, list] = {}
-        for r in view.honest_ids:
-            payload = variants[r % 2]
-            envs = []
-            for z in self.corrupt_ids:
-                sig = None
-                if signature:
-                    sig = self.registry.sign(
-                        z, signing_message(self.common, view.step_id.iteration)
-                    )
-                envs.append(MessageEnvelope(z, view.step_id, payload, signature=sig))
-            sends[r] = envs
-        return sends
+        sigs = dict.fromkeys(self.corrupt_ids)
+        if view.step_id.step == 3 and view.step_id.phase == Phase.MBBA:
+            message = signing_message(self.common, view.step_id.iteration)
+            sigs = {z: self.registry.sign(z, message) for z in self.corrupt_ids}
+        stories = [
+            [MessageEnvelope(z, view.step_id, p, signature=sigs[z]) for z in self.corrupt_ids]
+            for p in variants
+        ]
+        return {r: stories[r % 2] for r in view.honest_ids}
 
 
 class CrashAfterAdversary(Adversary):
@@ -263,12 +258,18 @@ class SplitKeeperAdversary(Adversary):
                 push_value[c] = value
                 push_set[c] = frozenset(active[:size])
         junk = [b"\xf0" + bytes([c % 256]) for c in range(m)]
+        stories: dict[tuple, list] = {}  # payload -> the envelopes carrying it
         sends: dict[int, list] = {}
         for r in view.honest_ids:
             payload = tuple(
                 push_value[c] if r in push_set[c] else junk[c] for c in range(m)
             )
-            sends[r] = [MessageEnvelope(z, view.step_id, payload) for z in self.corrupt_ids]
+            envs = stories.get(payload)
+            if envs is None:
+                envs = stories[payload] = [
+                    MessageEnvelope(z, view.step_id, payload) for z in self.corrupt_ids
+                ]
+            sends[r] = envs
         return sends
 
     # -- bit steps (binary agreement) ---------------------------------------
@@ -331,20 +332,29 @@ class SplitKeeperAdversary(Adversary):
             if split_sigs is not None:
                 show_min_to, withheld = split_sigs
 
+        # A recipient's envelopes depend only on its class: which push sets
+        # hold it, and whether it is shown the withheld signatures.
+        stories: dict[tuple, list] = {}  # class -> the envelopes it is sent
+        made: dict[tuple, MessageEnvelope] = {}  # (idx, payload) -> envelope
         for r in view.honest_ids:
-            envs = []
-            for idx, z in enumerate(self.corrupt_ids):
-                if step == 3 and z in withheld and r not in show_min_to:
-                    continue
-                payload = tuple(
-                    push_bit[c]
-                    if r in push_set[c]
-                    else (0 if idx < filler_zero_votes[c] else 1)
-                    for c in range(m)
-                )
-                envs.append(
-                    MessageEnvelope(z, view.step_id, payload, signature=signatures.get(z))
-                )
+            pushed = tuple(r in members for members in push_set)
+            shown = r in show_min_to
+            envs = stories.get((pushed, shown))
+            if envs is None:
+                envs = stories[pushed, shown] = []
+                for idx, z in enumerate(self.corrupt_ids):
+                    if step == 3 and z in withheld and not shown:
+                        continue
+                    payload = tuple(
+                        push_bit[c] if pushed[c] else (0 if idx < filler_zero_votes[c] else 1)
+                        for c in range(m)
+                    )
+                    env = made.get((idx, payload))
+                    if env is None:
+                        env = made[idx, payload] = MessageEnvelope(
+                            z, view.step_id, payload, signature=signatures.get(z)
+                        )
+                    envs.append(env)
             if envs:
                 sends[r] = envs
         return sends

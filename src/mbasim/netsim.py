@@ -16,6 +16,9 @@ signature, so they never enter a coin step's signature set.
 Delivery is split into a shared part (identical for every honest recipient)
 and per-recipient extras, so callers can tally the shared part once; the two
 views are semantically identical because the groups never share senders.
+Recipients handed the same adversary envelope objects are encoded and
+tallied once between them, so a strategy should reuse its envelope objects
+for recipients that hear the same thing.
 """
 
 from __future__ import annotations
@@ -98,8 +101,10 @@ class Adversary:
 
     ``act`` may return either a list (the same envelopes broadcast to every
     honest recipient) or a dict keyed by recipient (full per-recipient
-    equivocation).  ``end_step`` runs after delivery, letting stateful
-    strategies advance internal bookkeeping.
+    equivocation).  In the dict form, hand recipients that hear the same
+    thing the same envelope objects: the engine encodes each object once per
+    step and tallies each distinct list of objects once.  ``end_step`` runs
+    after delivery, letting stateful strategies advance internal bookkeeping.
     """
 
     name = "silent"
@@ -283,7 +288,7 @@ class SyncNetwork:
                     continue
                 out.append(encoded(env))
             for (s, rr), star in self._adv_star.items():
-                if rr == r and s not in covered and not any(e.sender == s for e, _ in out):
+                if rr == r and s not in covered:
                     out.append(self._replay(star, step_id))
             if out:
                 out.sort(key=itemgetter(1))
@@ -332,20 +337,26 @@ class SyncNetwork:
     # -- tally plumbing -------------------------------------------------------
 
     def tallies(self, delivery: StepDelivery, kind: PayloadKind, signature_check=None) -> dict:
-        """Per-recipient tallies, sharing the tally of the common part."""
-        base = ingest(
-            delivery.shared, m=self.config.m, kind=kind, signature_check=signature_check
-        )
+        """Per-recipient tallies: one per distinct delivery, shared by its recipients.
+
+        The common part is tallied once.  Recipients whose extras are the
+        same envelope objects share one merged tally.  The key is identity,
+        not equality: value-equal envelopes may tally differently ((1.0, 0)
+        == (1, 0), yet only the second is a bit vector).  Every keyed
+        envelope lives on ``delivery``, so its id is stable for the call.
+        """
+        m = self.config.m
+        base = ingest(delivery.shared, m=m, kind=kind, signature_check=signature_check)
+        by_extras = {(): base}
         out = {}
         for r in self.honest_ids:
-            extra_envs = delivery.extras.get(r)
-            if not extra_envs:
-                out[r] = base
-            else:
-                extra = ingest(
-                    extra_envs, m=self.config.m, kind=kind, signature_check=signature_check
-                )
-                out[r] = merge_tallies(base, extra)
+            extra_envs = delivery.extras.get(r, ())
+            key = tuple(map(id, extra_envs))
+            tally = by_extras.get(key)
+            if tally is None:
+                extra = ingest(extra_envs, m=m, kind=kind, signature_check=signature_check)
+                tally = by_extras[key] = merge_tallies(base, extra)
+            out[r] = tally
         return out
 
 

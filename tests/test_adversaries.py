@@ -185,6 +185,68 @@ class TestEquivocator:
         assert sends[0][0].payload == sends[2][0].payload
 
 
+def assert_shared(sends):
+    """Value-equal envelopes of one act output are one object, and some are shared."""
+    lists = list(sends.values())
+    seen = {}
+    for env in (e for envs in lists for e in envs):
+        assert seen.setdefault(env, env) is env, env
+    assert len({tuple(map(id, envs)) for envs in lists}) < len(lists)
+
+
+class TestSharedEnvelopes:
+    """Recipients that hear the same story are handed the same envelope objects."""
+
+    def setup_method(self):
+        self.config = NetworkConfig(7, 2, 3, 42)
+        self.registry = KeyRegistry.from_seed(42, 7)
+        self.common = common_string(42)
+
+    def adversary(self, name):
+        adv = build_adversary(name)
+        adv.setup(self.config, self.registry, self.common, None, adversary_rng(42))
+        return adv
+
+    def bits_view(self, step, iteration=0):
+        # components 0 and 1 split 3/2 (pushable), component 2 is unanimous
+        bits = {i: [int(i < 3), int(i >= 3), 1] for i in range(5)}
+        return build_view(self.config, step, bits, self.registry, self.common, iteration)
+
+    def values_view(self, step):
+        sid = StepId(Phase.MGC, 0, step)
+        envs = [MessageEnvelope(i, sid, (b"a" if i < 3 else b"b",) * 3) for i in range(5)]
+        return AdversaryView(
+            step_id=sid,
+            kind=PayloadKind.VALUES,
+            honest_envelopes=envs,
+            honest_states={},
+            config=self.config,
+            honest_ids=list(range(5)),
+            corrupt_ids=[5, 6],
+            active_honest=list(range(5)),
+        )
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_split_keeper_value_steps(self, step):
+        assert_shared(self.adversary("split_keeper").act(self.values_view(step)))
+
+    @pytest.mark.parametrize("step", [1, 2])
+    def test_split_keeper_bit_steps(self, step):
+        assert_shared(self.adversary("split_keeper").act(self.bits_view(step)))
+
+    @pytest.mark.parametrize("coin_split", [False, True])
+    def test_split_keeper_coin_steps(self, coin_split):
+        adv = self.adversary("split_keeper")
+        views = (self.bits_view(3, iteration) for iteration in range(60))
+        view = next(v for v in views if (adv._coin_split(v) is not None) == coin_split)
+        assert_shared(adv.act(view))
+
+    def test_equivocator(self):
+        adv = self.adversary("equivocator")
+        for view in (self.values_view(1), self.bits_view(1), self.bits_view(3)):
+            assert_shared(adv.act(view))
+
+
 class TestRandomByzantine:
     def test_agreement_holds_across_seeds(self):
         for seed in range(15):

@@ -186,9 +186,16 @@ class TestFastPathTallies:
     """The shared+extras tally must equal a plain ingest of each inbox."""
 
     @pytest.mark.parametrize("name", ["silent", "equivocator", "split_keeper", "random_byzantine"])
-    @pytest.mark.parametrize("step", [1, 3])
-    def test_matches_direct_ingest(self, name, step):
-        n, t, m, seed = 7, 2, 3, 21
+    @pytest.mark.parametrize(
+        "step, m",
+        [
+            pytest.param(step, m, id=str(step) if m == 3 else f"{step}-m{m}")
+            for m in (3, 16)
+            for step in (1, 2, 3)
+        ],
+    )
+    def test_matches_direct_ingest(self, name, step, m):
+        n, t, seed = 7, 2, 21
         config = NetworkConfig(n, t, m, seed)
         registry = KeyRegistry.from_seed(seed, n)
         common = common_string(seed)
@@ -209,6 +216,59 @@ class TestFastPathTallies:
             direct = ingest(delivery.inbox(r), m=m, kind=PayloadKind.BITS, signature_check=check)
             assert (fast[r].zeros, fast[r].ones) == (direct.zeros, direct.ones), (name, step, r)
             assert fast[r].senders() == direct.senders()
+
+
+class TestSharedTallies:
+    """Recipients handed the same envelope objects share one tally."""
+
+    def test_same_objects_share_one_tally(self):
+        envs = [MessageEnvelope(3, SID, (1, 0))]
+        other = [MessageEnvelope(3, SID, (0, 0))]
+        _, net = make_net(m=2, adversary=ScriptedAdversary([{0: envs, 1: envs, 2: other}]))
+        delivery = honest_bits_step(net, {0: [0, 1], 1: [0, 1], 2: [0, 1]})
+        tallies = net.tallies(delivery, PayloadKind.BITS)
+        assert tallies[0] is tallies[1]
+        assert tallies[2] is not tallies[0]
+        assert (tallies[0].ones, tallies[2].ones) == ([1, 3], [0, 3])
+
+    def test_equal_but_distinct_envelopes_tally_separately(self):
+        # equal as values, yet only (1, 0) is a bit vector: identity must key the tally
+        bits = MessageEnvelope(3, SID, (1, 0))
+        floats = MessageEnvelope(3, SID, (1.0, 0))
+        assert bits == floats
+        _, net = make_net(m=2, adversary=ScriptedAdversary([{0: [bits], 1: [floats]}]))
+        delivery = honest_bits_step(net, {0: [0, 1], 1: [0, 1], 2: [0, 1]})
+        tallies = net.tallies(delivery, PayloadKind.BITS)
+        assert tallies[0] is not tallies[1]
+        assert tallies[0].senders() == {0, 1, 2, 3}
+        assert tallies[1].senders() == {0, 1, 2}
+        assert (tallies[0].ones, tallies[1].ones) == ([1, 3], [0, 3])
+        for r in range(3):
+            direct = ingest(delivery.inbox(r), m=2, kind=PayloadKind.BITS)
+            assert (tallies[r].zeros, tallies[r].ones) == (direct.zeros, direct.ones)
+
+    @pytest.mark.parametrize("name", ["split_keeper", "equivocator"])
+    def test_one_ingest_per_distinct_extras(self, name, monkeypatch):
+        n, t, m, seed = 7, 2, 4, 9
+        config = NetworkConfig(n, t, m, seed)
+        adv = build_adversary(name)
+        adv.setup(config, KeyRegistry.from_seed(seed, n), common_string(seed), None,
+                  adversary_rng(seed))
+        net = SyncNetwork(config, adv)
+        sid = StepId(Phase.MBBA, 0, 1)
+        # 3 ones and 2 zeros at every component: split_keeper pushes some recipients
+        outgoing = {i: MessageEnvelope(i, sid, (int(i < 3),) * m) for i in range(n - t)}
+        delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
+        real = netsim.ingest
+        calls = []
+        monkeypatch.setattr(
+            netsim, "ingest", lambda envs, **kw: calls.append(envs) or real(envs, **kw)
+        )
+        tallies = net.tallies(delivery, PayloadKind.BITS)
+        distinct = {tuple(map(id, envs)) for envs in delivery.extras.values()}
+        assert 1 < len(distinct) < len(delivery.extras) == n - t, name
+        assert len(calls) == 1 + len(distinct)
+        assert len({id(tally) for tally in tallies.values()}) == len(distinct)
 
 
 class TestEncodeOnce:
