@@ -292,8 +292,11 @@ class SplitKeeperAdversary(Adversary):
         act = len(active)
 
         split_sigs = None
+        signatures: dict[int, bytes] = {}
         if step == 3:
-            split_sigs = self._coin_split(view)
+            message = signing_message(self.common, view.step_id.iteration)
+            signatures = {z: self.registry.sign(z, message) for z in self.corrupt_ids}
+            split_sigs = self._coin_split(view, signatures)
 
         push_bit = [-1] * m      # -1: no push at this component
         push_set: list = [frozenset()] * m
@@ -325,12 +328,8 @@ class SplitKeeperAdversary(Adversary):
         sends: dict[int, list] = {}
         show_min_to = frozenset()
         withheld = frozenset()
-        signatures: dict[int, bytes] = {}
-        if step == 3:
-            message = signing_message(self.common, view.step_id.iteration)
-            signatures = {z: self.registry.sign(z, message) for z in self.corrupt_ids}
-            if split_sigs is not None:
-                show_min_to, withheld = split_sigs
+        if split_sigs is not None:
+            show_min_to, withheld = split_sigs
 
         # A recipient's envelopes depend only on its class: which push sets
         # hold it, and whether it is shown the withheld signatures.
@@ -359,13 +358,14 @@ class SplitKeeperAdversary(Adversary):
                 sends[r] = envs
         return sends
 
-    def _coin_split(self, view: AdversaryView):
+    def _coin_split(self, view: AdversaryView, signatures: dict):
         """When a corrupt signature hashes below every honest one, pick who sees it.
 
-        Returns (recipients shown the minimal signature, corrupt ids withheld
-        from everyone else), or None when the honest minimum wins anyway.
+        ``signatures`` holds each corrupt node's signature for this coin
+        step.  Returns (recipients shown the minimal signature, corrupt ids
+        withheld from everyone else), or None when the honest minimum wins
+        anyway.
         """
-        message = signing_message(self.common, view.step_id.iteration)
         honest_digests = [
             digest(env.signature)
             for env in view.honest_envelopes
@@ -374,7 +374,7 @@ class SplitKeeperAdversary(Adversary):
         if not honest_digests:
             return None
         honest_min = min(honest_digests)
-        mine = {z: digest(self.registry.sign(z, message)) for z in self.corrupt_ids}
+        mine = {z: digest(sig) for z, sig in signatures.items()}
         below = frozenset(z for z, d in mine.items() if d < honest_min)
         if not below:
             return None

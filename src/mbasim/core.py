@@ -14,6 +14,7 @@ change its message between steps.
 from __future__ import annotations
 
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from operator import add
@@ -117,8 +118,12 @@ def is_bit_vector(payload: tuple, m: int) -> bool:
     )
 
 
+_VALUE_TYPES = frozenset({bytes, type(BOT)})
+
+
 def is_value_vector(payload: tuple, m: int) -> bool:
-    return len(payload) == m and all(v is BOT or type(v) is bytes for v in payload)
+    """m components, each BOT or exactly ``bytes`` (no subclasses)."""
+    return len(payload) == m and set(map(type, payload)) <= _VALUE_TYPES
 
 
 def well_formed(env: MessageEnvelope, m: int, kind: PayloadKind) -> bool:
@@ -141,14 +146,20 @@ class Tally:
 
     A VALUES tally keeps one dict per component, value -> count.  A BITS
     tally is a :class:`BitTally`, which stores the counts as two int lists.
+
+    ``memo`` holds what the protocol layers compute from the tally (a relay
+    vector, grades, a coin), keyed by the layer's other inputs, so every
+    node handed this tally object reuses one result.  It is filled lazily
+    and dies with the tally; :func:`merge_tallies` never copies it.
     """
 
-    __slots__ = ("m", "admitted", "counts")
+    __slots__ = ("m", "admitted", "counts", "memo")
 
     def __init__(self, m: int, admitted: dict[int, MessageEnvelope], counts: list[dict]):
         self.m = m
         self.admitted = admitted
         self.counts = counts
+        self.memo = {}
 
     def count(self, value, c: int) -> int:
         """Number of distinct admissible senders whose component c equals value."""
@@ -174,6 +185,7 @@ class BitTally(Tally):
         self.admitted = admitted
         self.zeros = zeros
         self.ones = ones
+        self.memo = {}
 
     def count(self, value, c: int) -> int:
         if not 0 <= c < self.m:
@@ -231,12 +243,13 @@ def ingest(
         ones = list(map(sum, zip(*[e.payload for e in admitted.values()]))) or [0] * m
         voters = len(admitted)
         return BitTally(m, admitted, [voters - k for k in ones], ones)
+    # Each distinct vector is counted once, weighted by its senders.  Counter
+    # keeps first-seen order, so every counts[c] gets its keys in the order
+    # a per-envelope count would insert them.
     counts: list[dict] = [{} for _ in range(m)]
-    for env in admitted.values():
-        payload = env.payload
-        for c in range(m):
-            v = payload[c]
-            counts[c][v] = counts[c].get(v, 0) + 1
+    for payload, k in Counter([e.payload for e in admitted.values()]).items():
+        for column, v in zip(counts, payload):
+            column[v] = column.get(v, 0) + k
     return Tally(m, admitted, counts)
 
 
@@ -305,6 +318,7 @@ def ambiguous_components(honest_vectors: list) -> int:
 _BYTE_TYPES = frozenset({int, bool})
 # sender, phase, iteration, step, final flag, signature length
 _ENVELOPE_HEADER = struct.Struct(">IBIBBH")
+_LENGTH = struct.Struct(">I")
 
 
 def encode_payload(payload: tuple) -> bytes:
@@ -313,11 +327,16 @@ def encode_payload(payload: tuple) -> bytes:
     Arbitrary (malformed) components survive via a repr fallback so that
     adversarial junk can still be logged and hashed deterministically.
     """
-    if set(map(type, payload)) <= _BYTE_TYPES:
+    types = set(map(type, payload))
+    if types <= _BYTE_TYPES:
         try:
             return b"B" + bytes(payload)
         except ValueError:
             pass  # an int outside 0..255 takes the general encoding below
+    elif types <= _VALUE_TYPES:
+        return b"V" + b"".join(
+            [b"\x00" if v is BOT else b"\x01" + _LENGTH.pack(len(v)) + v for v in payload]
+        )
     if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
         return b"B" + bytes(payload)
     parts = [b"V"]

@@ -21,7 +21,7 @@ from .core import (
     is_value_vector,
 )
 from .crypto import KeyRegistry, common_string, digest
-from .mbba import Branch, MbbaPhase, MbbaState, grades_to_bits, signature_check
+from .mbba import MbbaPhase, MbbaState, grades_to_bits, signature_check
 from .mgc import MgcState
 from .netsim import (
     Adversary,
@@ -31,6 +31,7 @@ from .netsim import (
     SyncNetwork,
     fixation_violations,
     never_both_violations,
+    newly_finalized,
 )
 
 ITERATION_CAP = 500
@@ -179,15 +180,8 @@ def run_trial(
         delivery = net.run_step(sid, outgoing, PayloadKind.BITS, mbba_states)
         tallies = net.tallies(delivery, PayloadKind.BITS, signature_check(registry, common, sid))
 
-        branch_reports = {}
-        newly_finalized = []
-        for i, st in active.items():
-            branches = branch_reports[i] = st.apply(tallies[i])
-            # A component not skipped (its flag was clear) whose flag is now
-            # set was finalized by this step.
-            newly_finalized.extend(
-                (i, c) for c, b in enumerate(branches) if b != Branch.SKIPPED and st.flags[c]
-            )
+        branch_reports = {i: st.apply(tallies[i]) for i, st in active.items()}
+        finalized = newly_finalized(branch_reports, {i: st.flags for i, st in active.items()})
         mbba_steps += 1
 
         for i, st in active.items():
@@ -197,7 +191,7 @@ def run_trial(
 
         honest_bits = {i: tuple(st.bits) for i, st in mbba_states.items()}
         step_violations = (
-            fixation_violations(sid, newly_finalized, honest_bits)
+            fixation_violations(sid, finalized, honest_bits)
             + never_both_violations(sid, branch_reports, m)
             + persistence.update(sid, honest_bits)
         )

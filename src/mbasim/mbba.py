@@ -156,17 +156,21 @@ class MbbaState:
         self.phase = after
         return branches
 
-    def _coin(self, tally: BitTally) -> list:
+    def _coin(self, tally: BitTally) -> tuple:
         """The shared coin from the signatures on the tally's fresh messages;
-        a final message never contributes one."""
-        sigs = [
-            (e.sender, e.signature)
-            for e in tally.admitted.values()
-            if e.signature is not None and not e.final
-        ]
-        if not sigs:
-            raise RuntimeError("no valid signatures: own message missing")
-        return derive_coin(sigs, self.m)
+        a final message never contributes one.  Derived once per tally."""
+        key = ("mbba-coin", self.m)
+        coin = tally.memo.get(key)
+        if coin is None:
+            sigs = [
+                (e.sender, e.signature)
+                for e in tally.admitted.values()
+                if e.signature is not None and not e.final
+            ]
+            if not sigs:
+                raise RuntimeError("no valid signatures: own message missing")
+            coin = tally.memo[key] = derive_coin(sigs, self.m)
+        return coin
 
     def exit_check(self) -> Optional[tuple]:
         """Halt once every flag is set: fix the output and queue the final

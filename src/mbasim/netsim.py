@@ -32,7 +32,6 @@ from .core import (
     MessageEnvelope,
     PayloadKind,
     StepId,
-    agreed_value,
     encode_envelope,
     encode_payload,
     ingest,
@@ -209,10 +208,18 @@ class SyncNetwork:
         honest_states: Optional[dict] = None,
     ) -> StepDelivery:
         shared = [honest_outgoing[i] for i in sorted(honest_outgoing)]
+        # Encodings of the honest payloads, keyed by identity: nodes that
+        # computed their message from one shared tally send one payload
+        # object.  Every keyed payload is delivered, so it outlives the step.
+        payloads: dict[int, bytes] = {}
+        shared_encoded = []
         for env in shared:
             if env.step_id != step_id:
                 raise SimulationError("honest envelope from another step")
-        shared_encoded = [encode_envelope(env) for env in shared]
+            data = payloads.get(id(env.payload))
+            if data is None:
+                data = payloads[id(env.payload)] = encode_payload(env.payload)
+            shared_encoded.append(encode_envelope(env, data))
         for _, star in sorted(self._halted_star.items()):
             env, encoded = self._replay(star, step_id)
             shared.append(env)
@@ -264,14 +271,12 @@ class SyncNetwork:
 
         # An encoding starts with the sender's id in big-endian, so ordering
         # by encoding orders by (sender, encoding).
+        broadcast: list = []
         if shared_adv:
             pairs = sorted(map(encoded, shared_adv), key=itemgetter(1))
-            shared = shared + [env for env, _ in pairs]
+            broadcast = [env for env, _ in pairs]
+            shared = shared + broadcast
             shared_encoded += [data for _, data in pairs]
-            for env, _ in pairs:
-                if env.final and is_bit_vector(env.payload, self.config.m):
-                    for r in self.honest_ids:
-                        self._adv_star.setdefault((env.sender, r), env)
 
         extras: dict[int, list] = {}
         extras_encoded: dict[int, list] = {}
@@ -294,7 +299,10 @@ class SyncNetwork:
                 out.sort(key=itemgetter(1))
                 extras[r] = [env for env, _ in out]
                 extras_encoded[r] = [data for _, data in out]
+        # A final delivered now is replayed from the next step on.
         self._register_adversary_finals(extras)
+        if broadcast:
+            self._register_adversary_finals(dict.fromkeys(self.honest_ids, broadcast))
 
         delivery = StepDelivery(step_id, shared, extras, shared_encoded, extras_encoded)
         self._hash_step(delivery)
@@ -361,34 +369,62 @@ class SyncNetwork:
 
 
 # -- runtime monitors ---------------------------------------------------------
+#
+# The monitors read the honest nodes' vectors one component column at a time
+# (``zip(*vectors)``); a column agrees when every entry equals its first.
+
+
+def newly_finalized(branch_reports: dict, flags: dict) -> list:
+    """(node, c) for every component a node finalized this step, in node then
+    component order: its branch was not SKIPPED (the flag was clear) and its
+    flag is now set.  ``flags`` holds each reporting node's flags after the
+    step, keyed like ``branch_reports``."""
+    nodes = list(branch_reports)
+    columns = zip(zip(*branch_reports.values()), zip(*[flags[i] for i in nodes]))
+    found = []  # components some node finalized this step
+    every = True  # whether every node finalized each of them
+    for c, (branches, set_flags) in enumerate(columns):
+        # SKIPPED implies a flag set before the step, so the set flags
+        # outnumber the SKIPPED branches by the nodes that finalized c now.
+        new = set_flags.count(1) - branches.count(Branch.SKIPPED)
+        if new:
+            found.append(c)
+            every = every and new == len(nodes)
+    if every:
+        return [(i, c) for i in nodes for c in found]
+    return [
+        (i, c)
+        for i in nodes
+        for c in found
+        if branch_reports[i][c] != Branch.SKIPPED and flags[i][c]
+    ]
 
 
 def fixation_violations(step_id: StepId, newly_finalized, honest_bits: dict) -> list:
     """A component finalized this step must be in agreement at step end."""
-    out = []
-    vectors = list(honest_bits.values())
-    for node, c in newly_finalized:
-        ok, _ = agreed_value(vectors, c)
-        if not ok:
-            out.append(
-                f"fixation: node {node} finalized component {c} at {step_id.label()}"
-                " without end-of-step agreement"
-            )
-    return out
+    if not newly_finalized:
+        return []
+    split = {
+        c
+        for c, column in enumerate(zip(*honest_bits.values()))
+        if column.count(column[0]) != len(column)
+    }
+    return [
+        f"fixation: node {node} finalized component {c} at {step_id.label()}"
+        " without end-of-step agreement"
+        for node, c in newly_finalized
+        if c in split
+    ]
 
 
 def never_both_violations(step_id: StepId, branch_reports: dict, m: int) -> list:
     """No two honest nodes may cross opposite supermajority branches at one component."""
     out = []
-    for c in range(m):
-        saw_zero = saw_one = None
-        for node, branches in branch_reports.items():
-            b = branches[c]
-            if b == Branch.THRESHOLD_ZERO and saw_zero is None:
-                saw_zero = node
-            elif b == Branch.THRESHOLD_ONE and saw_one is None:
-                saw_one = node
-        if saw_zero is not None and saw_one is not None:
+    nodes = list(branch_reports)
+    for c, column in zip(range(m), zip(*branch_reports.values())):
+        if Branch.THRESHOLD_ZERO in column and Branch.THRESHOLD_ONE in column:
+            saw_zero = nodes[column.index(Branch.THRESHOLD_ZERO)]
+            saw_one = nodes[column.index(Branch.THRESHOLD_ONE)]
             out.append(
                 f"never-both: nodes {saw_zero} and {saw_one} crossed opposite"
                 f" supermajorities at component {c}, {step_id.label()}"
@@ -405,9 +441,9 @@ class PersistenceTracker:
 
     def update(self, step_id: StepId, honest_bits: dict) -> list:
         out = []
-        vectors = list(honest_bits.values())
-        for c in range(self.m):
-            ok, value = agreed_value(vectors, c)
+        for c, column in zip(range(self.m), zip(*honest_bits.values())):
+            value = column[0]
+            ok = column.count(value) == len(column)
             if c in self.agreed:
                 if not ok or value != self.agreed[c]:
                     out.append(

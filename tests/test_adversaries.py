@@ -234,12 +234,35 @@ class TestSharedEnvelopes:
     def test_split_keeper_bit_steps(self, step):
         assert_shared(self.adversary("split_keeper").act(self.bits_view(step)))
 
+    def coin_view(self, adv, coin_split):
+        """A coin-step view on which split_keeper does (or does not) split the coin."""
+        for iteration in range(60):
+            view = self.bits_view(3, iteration)
+            message = signing_message(self.common, iteration)
+            signatures = {z: self.registry.sign(z, message) for z in adv.corrupt_ids}
+            if (adv._coin_split(view, signatures) is not None) == coin_split:
+                return view
+        raise AssertionError("no such iteration")
+
     @pytest.mark.parametrize("coin_split", [False, True])
     def test_split_keeper_coin_steps(self, coin_split):
         adv = self.adversary("split_keeper")
-        views = (self.bits_view(3, iteration) for iteration in range(60))
-        view = next(v for v in views if (adv._coin_split(v) is not None) == coin_split)
-        assert_shared(adv.act(view))
+        assert_shared(adv.act(self.coin_view(adv, coin_split)))
+
+    @pytest.mark.parametrize("coin_split", [False, True])
+    def test_split_keeper_signs_once_per_coin_step(self, coin_split, monkeypatch):
+        adv = self.adversary("split_keeper")
+        view = self.coin_view(adv, coin_split)
+        real = self.registry.sign
+        signed = []
+        monkeypatch.setattr(
+            self.registry, "sign", lambda z, message: signed.append(z) or real(z, message)
+        )
+        sends = adv.act(view)
+        assert sorted(signed) == adv.corrupt_ids
+        message = signing_message(self.common, view.step_id.iteration)
+        for env in (e for envs in sends.values() for e in envs):
+            assert env.signature == real(env.sender, message)
 
     def test_equivocator(self):
         adv = self.adversary("equivocator")

@@ -20,6 +20,7 @@ from mbasim.core import (
     encode_payload,
     ingest,
     is_bit_vector,
+    is_value_vector,
     merge_tallies,
     one_third_majority,
     two_thirds_majority,
@@ -406,6 +407,72 @@ def test_merge_rejects_mixed_kinds():
         merge_tallies(bits, values)
 
 
+_JUNK_VALUES = [0, 1.0, "a", bytearray(b"a"), (b"a",)]
+
+
+@st.composite
+def value_batches(draw, m=3, n=8):
+    """A shuffled VALUES inbox: duplicates, vectors equal to another sender's,
+    BOT components, equivocation, finals and malformed payloads."""
+    envs = []
+    vectors = []
+    for sender in range(n):
+        shape = draw(
+            st.sampled_from(["none", "one", "dup", "copy", "conflict", "final", "malformed"])
+        )
+        if shape == "none":
+            continue
+        if shape == "copy" and vectors:
+            payload = draw(st.sampled_from(vectors))
+        else:
+            payload = tuple(draw(st.lists(values_strategy, min_size=m, max_size=m)))
+        vectors.append(payload)
+        if shape == "malformed":
+            junk = list(payload)
+            junk[draw(st.integers(0, m - 1))] = draw(st.sampled_from(_JUNK_VALUES))
+            payload = draw(st.sampled_from([tuple(junk), payload[:-1], payload + (BOT,)]))
+        envs.append(MessageEnvelope(sender, VSID, payload, final=shape == "final"))
+        if shape == "dup":
+            envs.append(val_env(sender, payload))
+        elif shape == "conflict":
+            other = draw(st.lists(values_strategy, min_size=m, max_size=m))
+            envs.append(val_env(sender, tuple(other)))
+    return draw(st.permutations(envs))
+
+
+def _reference_value_recount(envs, m):
+    """VALUES ingest counted one envelope at a time, as the plain rules read."""
+    by_sender: dict = {}
+    conflict = object()
+    for env in envs:
+        p = env.payload
+        if env.final or len(p) != m or not all(v is BOT or type(v) is bytes for v in p):
+            continue
+        prev = by_sender.get(env.sender)
+        if prev is None:
+            by_sender[env.sender] = env
+        elif prev is not conflict and prev != env:
+            by_sender[env.sender] = conflict
+    admitted = {s: e for s, e in by_sender.items() if e is not conflict}
+    counts = [{} for _ in range(m)]
+    for env in admitted.values():
+        for c in range(m):
+            v = env.payload[c]
+            counts[c][v] = counts[c].get(v, 0) + 1
+    return admitted, counts
+
+
+@given(value_batches())
+def test_value_ingest_matches_per_envelope_recount(envs):
+    tally = ingest(envs, m=3, kind=PayloadKind.VALUES)
+    admitted, counts = _reference_value_recount(envs, 3)
+    assert tally.admitted == admitted
+    for c in range(3):
+        # the insertion order of the counts is part of the result: grade
+        # and relay ties are broken by it
+        assert list(tally.counts[c].items()) == list(counts[c].items())
+
+
 def _reference_encode_payload(payload):
     """encode_payload without its fast path for plain ints."""
     if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
@@ -439,6 +506,15 @@ def _reference_encode_envelope(env):
     )
 
 
+def _reference_is_value_vector(payload, m):
+    """is_value_vector written per component."""
+    return len(payload) == m and all(v is BOT or type(v) is bytes for v in payload)
+
+
+class _Blob(bytes):
+    """A bytes subclass: not a value component."""
+
+
 def _reference_is_bit_vector(payload, m):
     """is_bit_vector without its fast path for plain ints."""
     return len(payload) == m and all(
@@ -461,9 +537,11 @@ _components = st.one_of(
     st.none(),
     st.lists(st.integers(0, 3), max_size=2),
     st.sampled_from([Fraction(1), Decimal(0)]),
+    st.sampled_from([_Blob(b"a"), bytearray(b"a")]),
 )
 _payloads = st.one_of(
     st.lists(st.sampled_from([0, 1]), max_size=5),
+    st.lists(st.one_of(st.none(), st.binary(max_size=3), st.just(_Blob(b"a"))), max_size=5),
     st.lists(st.integers(-1, 256), max_size=5),
     st.lists(st.one_of(st.booleans(), st.integers(0, 1)), max_size=5),
     st.lists(_components, max_size=5),
@@ -478,6 +556,12 @@ def test_encode_payload_matches_reference(payload):
 @given(_payloads, st.integers(0, 5))
 def test_is_bit_vector_matches_reference(payload, m):
     assert is_bit_vector(payload, m) == _reference_is_bit_vector(payload, m)
+
+
+@given(_payloads, st.integers(0, 5))
+def test_is_value_vector_matches_reference(payload, m):
+    for length in (m, len(payload)):
+        assert is_value_vector(payload, length) == _reference_is_value_vector(payload, length)
 
 
 @given(

@@ -3,9 +3,12 @@
 import pytest
 
 from conftest import build_adversary
-from mbasim.core import BOT, GradedPair
-from mbasim.mba import grades_to_bits, resolve_output, run_trial
-from mbasim.netsim import NetworkConfig
+from mbasim import mbba, netsim
+from mbasim.core import BOT, GradedPair, encode_envelope
+from mbasim.crypto import KeyRegistry, common_string
+from mbasim.mba import adversary_rng, grades_to_bits, resolve_output, run_mgc, run_trial
+from mbasim.mbba import Branch, MbbaState
+from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
     FOUR_NODE_EXAMPLE,
     FOUR_NODE_EXPECTED,
@@ -153,3 +156,96 @@ class TestRunTrial:
                 for node, finalized in rec.finalization_iterations.items():
                     for c in (2, 3):
                         assert finalized[c] == 0, (adversary, seed, node, c)
+
+
+class TestPerTallyResults:
+    """What a tally determines is computed once per tally object and shared
+    by every node holding it."""
+
+    def network(self, name, params=(), n=7, t=2, m=4, seed=3, scenario=("ambiguous", (2,))):
+        config = NetworkConfig(n, t, m, seed)
+        inputs = build_inputs(*scenario, config, scenario_rng(seed))
+        adv = build_adversary(name, params)
+        adv.setup(config, KeyRegistry.from_seed(seed, n), common_string(seed), inputs,
+                  adversary_rng(seed))
+        return SyncNetwork(config, adv), inputs
+
+    @staticmethod
+    def spy_steps(net, monkeypatch):
+        """Record each step's (delivery, tallies), in order."""
+        steps = []
+        real_run_step, real_tallies = net.run_step, net.tallies
+
+        def run_step(*args, **kwargs):
+            delivery = real_run_step(*args, **kwargs)
+            steps.append([delivery])
+            return delivery
+
+        def tallies(*args, **kwargs):
+            result = real_tallies(*args, **kwargs)
+            steps[-1].append(result)
+            return result
+
+        monkeypatch.setattr(net, "run_step", run_step)
+        monkeypatch.setattr(net, "tallies", tallies)
+        return steps
+
+    @pytest.mark.parametrize("name, params", [
+        ("silent", ()), ("crash_after", (10**6,)), ("split_keeper", ()), ("equivocator", ()),
+    ])
+    def test_shared_tally_shares_relay_and_grades(self, name, params, monkeypatch):
+        net, inputs = self.network(name, params)
+        steps = self.spy_steps(net, monkeypatch)
+        graded = run_mgc(net, inputs)
+        (_, t1), (d2, t2) = steps
+        relays = {e.sender: e.payload for e in d2.shared if e.sender in t1}
+        for r in t1:
+            for s in t1:
+                assert (relays[r] is relays[s]) == (t1[r] is t1[s]), (r, s)
+                assert (graded[r] is graded[s]) == (t2[r] is t2[s]), (r, s)
+        assert len({id(p) for p in relays.values()}) == len({id(x) for x in t1.values()})
+        if name == "crash_after":
+            # the adversary's nodes share their own tally, relay and grades
+            mgc = net.adversary.mgc
+            first, *rest = mgc.values()
+            assert all(st.step2_vector is first.step2_vector for st in rest)
+            assert all(st.output is first.output for st in rest)
+            assert first.step2_vector == relays[0] and first.output == graded[0]
+
+    @pytest.mark.parametrize("scenario", [("unanimous", ()), ("ambiguous", (2,))])
+    def test_mgc_step_encodes_each_honest_payload_once(self, scenario, monkeypatch):
+        net, inputs = self.network("silent", scenario=scenario)
+        steps = self.spy_steps(net, monkeypatch)
+        real = netsim.encode_payload
+        calls = []
+        monkeypatch.setattr(netsim, "encode_payload", lambda p: calls.append(p) or real(p))
+        run_mgc(net, inputs)
+        encoded = 0
+        for delivery, _ in steps:
+            payloads = {id(e.payload): e.payload for e in delivery.shared}
+            step_calls = calls[encoded : encoded + len(payloads)]
+            assert sorted(map(id, step_calls)) == sorted(payloads)
+            encoded += len(payloads)
+            assert delivery.shared_encoded == [encode_envelope(e) for e in delivery.shared]
+        assert encoded == len(calls)
+
+    def test_coin_derived_once_per_coin_step_tally(self, monkeypatch):
+        real_apply, real_coin = MbbaState.apply, mbba.derive_coin
+        coin_tallies = []  # tallies of coin steps that a node filled from the coin
+        coins = []
+
+        def apply(state, tally):
+            branches = real_apply(state, tally)
+            if Branch.COIN in branches:
+                coin_tallies.append(tally)
+            return branches
+
+        monkeypatch.setattr(MbbaState, "apply", apply)
+        monkeypatch.setattr(mbba, "derive_coin", lambda *a: coins.append(a) or real_coin(*a))
+        for seed in range(4):
+            config = NetworkConfig(7, 2, 4, seed)
+            inputs = build_inputs("ambiguous", (4,), config, scenario_rng(seed))
+            rec = run_trial(config, inputs, build_adversary("split_keeper"))
+            assert rec.halted and rec.agreement
+        distinct = {id(tally) for tally in coin_tallies}  # all kept alive by the list
+        assert len(coins) == len(distinct) < len(coin_tallies)

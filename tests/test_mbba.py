@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from mbasim import mbba
 from mbasim.core import MessageEnvelope, PayloadKind, Phase, StepId, ingest
 from mbasim.crypto import KeyRegistry, common_string, derive_coin, signing_message
 from mbasim.mbba import Branch, MbbaPhase, MbbaState
@@ -162,6 +163,21 @@ class TestStep3:
         self.advance(st)
         st.apply(bit_tally(4, 0, 4, 3))
         assert st.flags == [0]
+
+    def test_coin_derived_once_per_tally(self, monkeypatch):
+        real = mbba.derive_coin
+        calls = []
+        monkeypatch.setattr(mbba, "derive_coin", lambda *a: calls.append(a) or real(*a))
+        states = [make_state([0, 1], node=i) for i in range(3)]
+        for st in states:
+            self.advance(st)
+        shared = bit_tally(2, 2, 4, 3, m=2)
+        branches = [st.apply(shared) for st in states[:2]]
+        assert branches == [[Branch.COIN] * 2] * 2 and len(calls) == 1
+        assert states[0].bits == states[1].bits
+        # an equal tally that is another object derives its own coin
+        assert states[2].apply(bit_tally(2, 2, 4, 3, m=2)) == [Branch.COIN] * 2
+        assert len(calls) == 2 and states[2].bits == states[0].bits
 
 
 class TestExitCheckAndOutgoing:
