@@ -315,40 +315,67 @@ def ambiguous_components(honest_vectors: list) -> int:
 # --- canonical byte encodings (step logs, record hashes, hex dumps) ---
 
 
-_BYTE_TYPES = frozenset({int, bool})
 # sender, phase, iteration, step, final flag, signature length
 _ENVELOPE_HEADER = struct.Struct(">IBIBBH")
 _LENGTH = struct.Struct(">I")
+_DOUBLE = struct.Struct(">d")
+
+# (base type, tag, canonical bytes) for the components of a general payload.
+# The bytes are read through the base type, so a subclass cannot change them.
+_COMPONENT_KINDS = (
+    (type(None), b"n", lambda v: b""),
+    (bool, b"b", lambda v: b"\x01" if v else b"\x00"),
+    (int, b"i", lambda v: int.to_bytes(v, (int.bit_length(v) + 8) // 8, "big", signed=True)),
+    (float, b"f", _DOUBLE.pack),
+    (bytes, b"y", lambda v: memoryview(v).tobytes()),
+    (str, b"s", lambda v: str.encode(v, "utf-8", "surrogatepass")),
+)
+_OPAQUE = b"?"
+
+
+def _encode_component(v) -> bytes:
+    """Tag + 4-byte length + canonical bytes.  A subclass of a known type
+    takes the upper-case tag and its qualified type name before the bytes;
+    any other type is the bare opaque tag."""
+    t = type(v)
+    for base, tag, canonical in _COMPONENT_KINDS:
+        if issubclass(t, base):
+            data = canonical(v)
+            data = _LENGTH.pack(len(data)) + data
+            if t is base:
+                return tag + data
+            name = f"{t.__module__}.{t.__qualname__}".encode()
+            return tag.upper() + _LENGTH.pack(len(name)) + name + data
+    return _OPAQUE
 
 
 def encode_payload(payload: tuple) -> bytes:
-    """Canonical encoding: bit vectors as b'B'+bits, value vectors as b'V'+components.
+    """Canonical encoding of a payload.
 
-    Arbitrary (malformed) components survive via a repr fallback so that
-    adversarial junk can still be logged and hashed deterministically.
+    A bit vector (exact ints 0 and 1) is b'B' + one byte per bit.  A value
+    vector (exact ``bytes`` or BOT) is b'V' + per component b'\\x00' for BOT
+    or b'\\x01' + 4-byte length + bytes.  Any other tuple is b'T' + 4-byte
+    component count + each component type-tagged (:func:`_encode_component`),
+    so a bool, an enum member, a float or a subclass never aliases a bit or
+    a value.  A payload that is not a tuple is the opaque tag alone.  Only
+    opaque things share an encoding, and none depends on ``repr``, object
+    addresses or the hash seed.
     """
+    if not isinstance(payload, tuple):
+        return _OPAQUE
     types = set(map(type, payload))
-    if types <= _BYTE_TYPES:
+    if types <= _INT_ONLY:
         try:
-            return b"B" + bytes(payload)
+            bits = bytes(payload)
         except ValueError:
-            pass  # an int outside 0..255 takes the general encoding below
+            bits = None  # an int outside 0..255
+        if bits is not None and not bits.strip(b"\x00\x01"):
+            return b"B" + bits
     elif types <= _VALUE_TYPES:
         return b"V" + b"".join(
             [b"\x00" if v is BOT else b"\x01" + _LENGTH.pack(len(v)) + v for v in payload]
         )
-    if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
-        return b"B" + bytes(payload)
-    parts = [b"V"]
-    for v in payload:
-        if v is BOT:
-            parts.append(b"\x00")
-        elif isinstance(v, bytes):
-            parts.append(b"\x01" + len(v).to_bytes(4, "big") + v)
-        else:
-            blob = repr(v).encode()
-            parts.append(b"\x02" + len(blob).to_bytes(4, "big") + blob)
-    return b"".join(parts)
+    return b"T" + _LENGTH.pack(len(payload)) + b"".join(map(_encode_component, payload))
 
 
 def encode_envelope(env: MessageEnvelope, payload_bytes: Optional[bytes] = None) -> bytes:

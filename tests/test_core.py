@@ -1,5 +1,6 @@
 """Tally semantics: discarding rules, counting, and the agreement oracle."""
 
+import struct
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
@@ -474,18 +475,39 @@ def test_value_ingest_matches_per_envelope_recount(envs):
 
 
 def _reference_encode_payload(payload):
-    """encode_payload without its fast path for plain ints."""
-    if all(isinstance(v, int) and 0 <= v <= 255 for v in payload):
+    """encode_payload written per component, without its fast paths."""
+    if not isinstance(payload, tuple):
+        return b"?"
+    if all(type(v) is int and v in (0, 1) for v in payload):
         return b"B" + bytes(payload)
-    parts = [b"V"]
+    if all(v is None or type(v) is bytes for v in payload):
+        parts = [b"V"]
+        for v in payload:
+            parts.append(b"\x00" if v is None else b"\x01" + len(v).to_bytes(4, "big") + v)
+        return b"".join(parts)
+    parts = [b"T", len(payload).to_bytes(4, "big")]
     for v in payload:
-        if v is BOT:
-            parts.append(b"\x00")
-        elif isinstance(v, bytes):
-            parts.append(b"\x01" + len(v).to_bytes(4, "big") + v)
+        t = type(v)
+        if v is None:
+            tag, data = b"n", b""
+        elif t is bool:
+            tag, data = b"b", bytes([int(v)])
+        elif issubclass(t, int):
+            n = int.__int__(v)  # two's complement, bit length + sign bit in whole bytes
+            tag, data = b"i", n.to_bytes((n.bit_length() + 8) // 8, "big", signed=True)
+        elif issubclass(t, float):
+            tag, data = b"f", struct.pack(">d", v)
+        elif issubclass(t, bytes):
+            tag, data = b"y", bytes(memoryview(v))
+        elif issubclass(t, str):
+            tag, data = b"s", str.__str__(v).encode("utf-8", "surrogatepass")
         else:
-            blob = repr(v).encode()
-            parts.append(b"\x02" + len(blob).to_bytes(4, "big") + blob)
+            parts.append(b"?")
+            continue
+        if t not in (type(None), bool, int, float, bytes, str):
+            name = (t.__module__ + "." + t.__qualname__).encode()
+            tag = tag.upper() + len(name).to_bytes(4, "big") + name
+        parts.append(tag + len(data).to_bytes(4, "big") + data)
     return b"".join(parts)
 
 
@@ -551,6 +573,23 @@ _payloads = st.one_of(
 @given(_payloads)
 def test_encode_payload_matches_reference(payload):
     assert encode_payload(payload) == _reference_encode_payload(payload)
+
+
+def test_bool_and_int_components_encode_differently():
+    assert encode_payload((True, 0)) != encode_payload((1, 0))
+    assert encode_payload((1, 0)) == b"B\x01\x00"
+
+
+def test_enum_member_and_its_int_encode_differently():
+    assert _Level.HIGH == 1 and _Level.OFF_SCALE == 300
+    assert encode_payload((_Level.HIGH, 0)) != encode_payload((1, 0))
+    assert encode_payload((_Level.OFF_SCALE,)) != encode_payload((300,))
+
+
+def test_opaque_components_share_one_tag_and_no_repr():
+    opaque = encode_payload((object(),))
+    assert opaque == encode_payload((frozenset({"a", "b"}),)) == b"T\x00\x00\x00\x01?"
+    assert encode_payload([0, 1]) == b"?"  # not a tuple: never a bit vector
 
 
 @given(_payloads, st.integers(0, 5))

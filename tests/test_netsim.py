@@ -1,6 +1,11 @@
 """Round engine: delivery, finality replay, spoof rejection, determinism,
 fast-path tallies, and the runtime monitors."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -217,6 +222,40 @@ class TestDeterminism:
         assert [s.step_id for s in runs[0].steps] == [s.step_id for s in runs[1].steps]
         for a, b in zip(runs[0].steps, runs[1].steps):
             assert a.inboxes == b.inboxes
+
+
+# A trial whose adversary sends components with no canonical bytes: an
+# object() (its repr holds an address) and a frozenset of strings (its repr
+# order follows the hash seed).
+_OPAQUE_TRIAL = """
+from mbasim.core import MessageEnvelope
+from mbasim.mba import run_trial
+from mbasim.netsim import Adversary, NetworkConfig
+from mbasim.scenarios import build_inputs, scenario_rng
+
+class Opaque(Adversary):
+    def act(self, view):
+        junk = (object(), frozenset({"a", "b", "c"}), 2.5)
+        return [MessageEnvelope(z, view.step_id, junk) for z in self.corrupt_ids]
+
+config = NetworkConfig(4, 1, 3, 7)
+record = run_trial(config, build_inputs("split", (), config, scenario_rng(7)), Opaque())
+print(record.halted and record.agreement, record.step_log_hash)
+"""
+
+
+def test_opaque_payload_hash_is_process_independent():
+    src = str(Path(netsim.__file__).resolve().parents[1])
+    lines = set()
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        run = subprocess.run(
+            [sys.executable, "-c", _OPAQUE_TRIAL], env=env, capture_output=True, text=True
+        )
+        assert run.returncode == 0, run.stderr
+        lines.add(run.stdout)
+    (line,) = lines
+    assert line.startswith("True ")
 
 
 class TestFastPathTallies:
