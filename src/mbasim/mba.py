@@ -195,11 +195,6 @@ def run_trial(
             + never_both_violations(sid, branch_reports, m)
             + persistence.update(sid, honest_bits)
         )
-        net.attach_verdicts(
-            {"fixation": True, "persistence": True, "never_both": True}
-            if not step_violations
-            else {"violations": list(step_violations)}
-        )
         if step_violations:
             violations.extend(step_violations)
             break

@@ -24,7 +24,7 @@ for recipients that hear the same thing.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
 
@@ -153,7 +153,6 @@ class StepDelivery:
 class StepRecord:
     step_id: StepId
     inboxes: dict
-    verdicts: dict = field(default_factory=dict)
 
 
 def _restamp(env: MessageEnvelope, step_id: StepId) -> MessageEnvelope:
@@ -337,10 +336,6 @@ class SyncNetwork:
 
     def log_hash(self) -> str:
         return self._log.hexdigest()
-
-    def attach_verdicts(self, verdicts: dict) -> None:
-        if self.collect_steps and self.steps:
-            self.steps[-1].verdicts.update(verdicts)
 
     # -- tally plumbing -------------------------------------------------------
 
