@@ -24,6 +24,7 @@ for recipients that hear the same thing.
 from __future__ import annotations
 
 import hashlib
+import struct
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional
@@ -39,6 +40,10 @@ from .core import (
     merge_tallies,
 )
 from .mbba import Branch
+
+
+# phase, iteration, step, number of distinct inboxes
+_STEP = struct.Struct(">BIBI")
 
 
 class SimulationError(Exception):
@@ -326,12 +331,25 @@ class SyncNetwork:
         return env, encode_envelope(env, payload)
 
     def _hash_step(self, delivery: StepDelivery) -> None:
+        """Add what every honest recipient received to the step log (format v2).
+
+        After the step id and the number of distinct inboxes, each distinct
+        inbox is framed once: its envelope count, each envelope's length,
+        then the encodings.  With more than one, the index of each honest
+        recipient's inbox follows in recipient order.
+        """
         sid = delivery.step_id
-        parts = [b"step", bytes([sid.phase]), sid.iteration.to_bytes(4, "big"), bytes([sid.step])]
-        parts += delivery.shared_encoded
-        for r in sorted(delivery.extras_encoded):
-            parts.append(b"to" + r.to_bytes(4, "big"))
-            parts += delivery.extras_encoded[r]
+        extras = delivery.extras_encoded
+        # Every inbox starts with the shared part, so the extras tell them apart.
+        index: dict[tuple, int] = {}
+        which = [index.setdefault(tuple(extras.get(r, ())), len(index)) for r in self.honest_ids]
+        parts = [b"step", _STEP.pack(sid.phase, sid.iteration, sid.step, len(index))]
+        for extra in index:
+            inbox = [*delivery.shared_encoded, *extra]
+            parts.append(struct.pack(f">{len(inbox) + 1}I", len(inbox), *map(len, inbox)))
+            parts += inbox
+        if len(index) > 1:
+            parts.append(struct.pack(f">{len(which)}I", *which))
         self._log.update(b"".join(parts))
 
     def log_hash(self) -> str:
