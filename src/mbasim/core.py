@@ -318,7 +318,6 @@ def ambiguous_components(honest_vectors: list) -> int:
 # sender, phase, iteration, step, final flag, signature length
 _ENVELOPE_HEADER = struct.Struct(">IBIBBH")
 _LENGTH = struct.Struct(">I")
-_DOUBLE = struct.Struct(">d")
 
 # (base type, tag, canonical bytes) for the components of a general payload.
 # The bytes are read through the base type, so a subclass cannot change them.
@@ -326,7 +325,7 @@ _COMPONENT_KINDS = (
     (type(None), b"n", lambda v: b""),
     (bool, b"b", lambda v: b"\x01" if v else b"\x00"),
     (int, b"i", lambda v: int.to_bytes(v, (int.bit_length(v) + 8) // 8, "big", signed=True)),
-    (float, b"f", _DOUBLE.pack),
+    (float, b"f", struct.Struct(">d").pack),
     (bytes, b"y", lambda v: memoryview(v).tobytes()),
     (str, b"s", lambda v: str.encode(v, "utf-8", "surrogatepass")),
 )

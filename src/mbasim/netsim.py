@@ -13,12 +13,14 @@ sender's message in every subsequent step and suppresses anything fresh the
 sender tries to say to that recipient.  Replayed messages carry no
 signature, so they never enter a coin step's signature set.
 
-Delivery is split into a shared part (identical for every honest recipient)
-and per-recipient extras, so callers can tally the shared part once; the two
-views are semantically identical because the groups never share senders.
-Recipients handed the same adversary envelope objects are encoded and
-tallied once between them, so a strategy should reuse its envelope objects
-for recipients that hear the same thing.
+An adversary's list output is the same list for every honest recipient, so
+a broadcast is one per-recipient send among others and the output shape
+never affects delivery or the step log, which hashes what each recipient
+received.  A delivery is kept as the honest part, identical for every
+recipient, plus each recipient's adversarial envelopes.  Recipients handed
+the same adversary envelope objects are encoded and tallied once between
+them, so a strategy should reuse its envelope objects for recipients that
+hear the same thing.
 """
 
 from __future__ import annotations
@@ -72,10 +74,6 @@ class NetworkConfig:
             raise ValueError(f"n >= 3t+1 required, got n={self.n}, t={self.t}")
 
     @property
-    def honest_count(self) -> int:
-        return self.n - self.t
-
-    @property
     def honest_ratio(self) -> float:
         return (self.n - self.t) / self.n
 
@@ -103,12 +101,13 @@ class AdversaryView:
 class Adversary:
     """Byzantine strategy interface; the base class stays silent.
 
-    ``act`` may return either a list (the same envelopes broadcast to every
-    honest recipient) or a dict keyed by recipient (full per-recipient
-    equivocation).  In the dict form, hand recipients that hear the same
-    thing the same envelope objects: the engine encodes each object once per
-    step and tallies each distinct list of objects once.  ``end_step`` runs
-    after delivery, letting stateful strategies advance internal bookkeeping.
+    ``act`` returns either a dict keyed by recipient (full per-recipient
+    equivocation) or a list, which means that same list for every honest
+    recipient; the two shapes deliver and log identically.  Hand recipients
+    that hear the same thing the same envelope objects: the engine encodes
+    each object once per step and tallies each distinct list of objects
+    once.  ``end_step`` runs after delivery, letting stateful strategies
+    advance internal bookkeeping.
     """
 
     name = "silent"
@@ -132,6 +131,9 @@ class Adversary:
 class StepDelivery:
     """One step's deliveries: shared part plus per-recipient extras.
 
+    ``shared`` holds the honest envelopes and the replays of halted honest
+    nodes, which every honest recipient receives; ``extras[r]`` holds what
+    the adversary delivered to recipient r, replays of its finals included.
     The step encodes each delivered envelope once and carries the encodings
     here, position for position: ``shared_encoded`` beside ``shared`` and
     ``extras_encoded[r]`` beside ``extras[r]``.  They fix the delivery order
@@ -177,7 +179,8 @@ class SyncNetwork:
         self.steps: list[StepRecord] = []
         self.step_count = 0
         self._halted_star: dict[int, MessageEnvelope] = {}
-        self._adv_star: dict[tuple, MessageEnvelope] = {}
+        # recipient -> {corrupt sender: the final it was handed first}
+        self._adv_star: dict[int, dict] = {r: {} for r in self.honest_ids}
         # id(replayed message) -> encode_payload of it; every key is a value
         # of _halted_star or _adv_star, which keep it alive for the trial.
         self._replay_payloads: dict[int, bytes] = {}
@@ -190,17 +193,12 @@ class SyncNetwork:
         self._halted_star.setdefault(env.sender, env)
 
     def _register_adversary_finals(self, delivered: dict) -> None:
+        m = self.config.m
         for recipient, envs in delivered.items():
+            stars = self._adv_star[recipient]
             for env in envs:
-                if env.final and is_bit_vector(env.payload, self.config.m):
-                    self._adv_star.setdefault((env.sender, recipient), env)
-
-    @staticmethod
-    def _validate_adversary_envelope(env: MessageEnvelope, step_id: StepId, corrupt: set) -> None:
-        if env.sender not in corrupt:
-            raise SpoofingError(f"adversary message under identity {env.sender}")
-        if env.step_id != step_id:
-            raise SimulationError("adversary envelope from another step")
+                if env.final and env.sender not in stars and is_bit_vector(env.payload, m):
+                    stars[env.sender] = env
 
     # -- the step ---------------------------------------------------------------
 
@@ -241,72 +239,36 @@ class SyncNetwork:
             active_honest=active,
         )
         sends = self.adversary.act(view)
+        if not isinstance(sends, dict):  # a list is the same list for every recipient
+            sends = dict.fromkeys(self.honest_ids, list(sends))
         corrupt = set(self.corrupt_ids)
-        shared_adv: list = []
-        per_recipient: dict[int, list] = {}
-        if isinstance(sends, dict):
-            honest_set = set(self.honest_ids)
-            for r, envs in sends.items():
-                if r in honest_set:
-                    per_recipient[r] = list(envs)
-        else:
-            # Broadcast form: identical envelopes to every honest recipient.
-            # Senders already bound by a finality marker somewhere must be
-            # routed per recipient so the replay substitution can differ.
-            starred = {s for (s, _r) in self._adv_star}
-            for env in sends:
-                self._validate_adversary_envelope(env, step_id, corrupt)
-                if env.sender in starred:
-                    for r in self.honest_ids:
-                        per_recipient.setdefault(r, []).append(env)
-                else:
-                    shared_adv.append(env)
-
-        # Encodings of this step's adversary envelopes, keyed by identity:
-        # equal payloads may encode differently ((1.0, 0) == (1, 0)).  Every
-        # keyed envelope is delivered, so it outlives the step and its id.
-        encodings: dict[int, bytes] = {}
-
-        def encoded(env: MessageEnvelope) -> tuple:
-            data = encodings.get(id(env))
-            if data is None:
-                data = encodings[id(env)] = encode_envelope(env)
-            return env, data
-
-        # An encoding starts with the sender's id in big-endian, so ordering
-        # by encoding orders by (sender, encoding).
-        broadcast: list = []
-        if shared_adv:
-            pairs = sorted(map(encoded, shared_adv), key=itemgetter(1))
-            broadcast = [env for env, _ in pairs]
-            shared = shared + broadcast
-            shared_encoded += [data for _, data in pairs]
-
+        # (envelope, encoding) of this step's adversary envelopes, keyed by
+        # identity: equal payloads may encode differently ((1.0, 0) == (1, 0)).
+        # Each pair holds its envelope, so no other object takes its id.
+        encodings: dict[int, tuple] = {}
         extras: dict[int, list] = {}
         extras_encoded: dict[int, list] = {}
         for r in self.honest_ids:
-            out = []
-            covered = set()
-            for env in per_recipient.get(r, ()):  # rushing adversary's choices
-                self._validate_adversary_envelope(env, step_id, corrupt)
-                star = self._adv_star.get((env.sender, r))
-                if star is not None:
-                    if env.sender not in covered:
-                        out.append(self._replay(star, step_id))
-                        covered.add(env.sender)
-                    continue
-                out.append(encoded(env))
-            for (s, rr), star in self._adv_star.items():
-                if rr == r and s not in covered:
-                    out.append(self._replay(star, step_id))
+            stars = self._adv_star[r]
+            out = [self._replay(star, step_id) for star in stars.values()]
+            for env in sends.get(r, ()):
+                pair = encodings.get(id(env))
+                if pair is None:  # first sight of this object in the step
+                    if env.sender not in corrupt:
+                        raise SpoofingError(f"adversary message under identity {env.sender}")
+                    if env.step_id != step_id:
+                        raise SimulationError("adversary envelope from another step")
+                    pair = encodings[id(env)] = (env, encode_envelope(env))
+                if env.sender not in stars:  # a bound sender says only its replay
+                    out.append(pair)
             if out:
+                # An encoding starts with the sender's id in big-endian, so
+                # ordering by encoding orders by (sender, encoding).
                 out.sort(key=itemgetter(1))
                 extras[r] = [env for env, _ in out]
                 extras_encoded[r] = [data for _, data in out]
         # A final delivered now is replayed from the next step on.
         self._register_adversary_finals(extras)
-        if broadcast:
-            self._register_adversary_finals(dict.fromkeys(self.honest_ids, broadcast))
 
         delivery = StepDelivery(step_id, shared, extras, shared_encoded, extras_encoded)
         self._hash_step(delivery)
@@ -360,7 +322,7 @@ class SyncNetwork:
     def tallies(self, delivery: StepDelivery, kind: PayloadKind, signature_check=None) -> dict:
         """Per-recipient tallies: one per distinct delivery, shared by its recipients.
 
-        The common part is tallied once.  Recipients whose extras are the
+        The shared part is tallied once.  Recipients whose extras are the
         same envelope objects share one merged tally.  The key is identity,
         not equality: value-equal envelopes may tally differently ((1.0, 0)
         == (1, 0), yet only the second is a bit vector).  Every keyed

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import build_adversary
 from mbasim import netsim
+from mbasim.adversaries import CrashAfterAdversary
 from mbasim.core import (
     MessageEnvelope,
     PayloadKind,
@@ -175,6 +176,103 @@ class TestDelivery:
         _, net = make_net(adversary=ScriptedAdversary([{9: [env], 3: [env]}]))
         delivery = honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
         assert all(len(delivery.inbox(r)) == 3 for r in range(3))
+
+
+SHAPES = ("list", "dict", "copies")
+
+
+def _shaped(sends: list, shape: str, recipients) -> object:
+    """One list of sends in an output shape of ``act``: the list itself,
+    {r: the list}, or {r: a copy of the list}."""
+    if shape == "list":
+        return sends
+    if shape == "dict":
+        return {r: sends for r in recipients}
+    return {r: list(sends) for r in recipients}
+
+
+class ShapedCrashAfter(CrashAfterAdversary):
+    """crash_after with its list output handed over in a chosen shape."""
+
+    def __init__(self, crash_step, shape):
+        super().__init__(crash_step)
+        self.shape = shape
+
+    def act(self, view):
+        return _shaped(super().act(view), self.shape, view.honest_ids)
+
+
+class FinalThenFresh(Adversary):
+    """Node 3 says a final (1,) at the first bit step and a fresh (0,) at
+    every later one; node 3's recipients must hear only its replay."""
+
+    def __init__(self, shape):
+        self.shape = shape
+
+    def act(self, view):
+        if view.kind != PayloadKind.BITS:
+            return _shaped([], self.shape, view.honest_ids)
+        first = view.step_id == SID
+        env = MessageEnvelope(3, view.step_id, (int(first),), final=first)
+        return _shaped([env], self.shape, view.honest_ids)
+
+
+class TestOutputShape:
+    """A list, {r: list} and {r: copy of list} deliver, tally and log alike."""
+
+    @pytest.mark.parametrize("final", [False, True], ids=["fresh", "final"])
+    def test_steps_alike(self, final):
+        sid2 = StepId(Phase.MBBA, 0, 2)
+        # node 5 may bind itself with a final; node 6 always speaks fresh
+        plans = [
+            [MessageEnvelope(5, SID, (1, 0), final=final), MessageEnvelope(6, SID, (0, 1))],
+            [MessageEnvelope(5, sid2, (0, 0)), MessageEnvelope(6, sid2, (1, 1))],
+        ]
+        honest = {i: [i % 2, 1] for i in range(5)}
+        runs = []
+        for shape in SHAPES:
+            adv = ScriptedAdversary(
+                [lambda view, p=p: _shaped(p, shape, view.honest_ids) for p in plans]
+            )
+            _, net = make_net(n=7, t=2, m=2, adversary=adv)
+            seen = []
+            for sid in (SID, sid2):
+                delivery = honest_bits_step(net, honest, sid)
+                tallies = net.tallies(delivery, PayloadKind.BITS)
+                seen.append(
+                    [(delivery.inbox(r), tallies[r].zeros, tallies[r].ones, tallies[r].senders())
+                     for r in range(5)]
+                )
+            runs.append((seen, net.log_hash()))
+        assert runs[0] == runs[1] == runs[2]
+        second_step = runs[0][0][1]
+        from_five = plans[1][0]
+        if final:
+            from_five = MessageEnvelope(5, sid2, (1, 0), final=True)
+        for inbox, *_ in second_step:
+            assert [e for e in inbox if e.sender >= 5] == [from_five, plans[1][1]]
+
+    @pytest.mark.parametrize(
+        "n, t, m, seed, scenario, adversary",
+        [
+            # the motivating case: the list form once hashed apart from both dicts
+            (7, 2, 4, 3, ("ambiguous", (2,)), lambda shape: ShapedCrashAfter(4, shape)),
+            (4, 1, 1, 0, ("split", ()), FinalThenFresh),
+        ],
+        ids=["crash_after", "final"],
+    )
+    def test_trials_alike(self, n, t, m, seed, scenario, adversary):
+        config = NetworkConfig(n, t, m, seed)
+        inputs = build_inputs(*scenario, config, scenario_rng(seed))
+        records = [
+            run_trial(config, inputs, adversary(shape), collect_steps=True) for shape in SHAPES
+        ]
+        fields = [rec.to_json_dict() for rec in records]
+        assert fields[0] == fields[1] == fields[2]
+        assert fields[0]["halted"] and fields[0]["agreement"]
+        inboxes = [[(step.step_id, step.inboxes) for step in rec.steps] for rec in records]
+        assert inboxes[0] == inboxes[1] == inboxes[2]
+        assert [rec.outputs for rec in records[1:]] == [records[0].outputs] * 2
 
 
 class TestConfigValidation:
