@@ -363,14 +363,9 @@ def encode_payload(payload: tuple) -> bytes:
     if not isinstance(payload, tuple):
         return _OPAQUE
     types = set(map(type, payload))
-    if types <= _INT_ONLY:
-        try:
-            bits = bytes(payload)
-        except ValueError:
-            bits = None  # an int outside 0..255
-        if bits is not None and not bits.strip(b"\x00\x01"):
-            return b"B" + bits
-    elif types <= _VALUE_TYPES:
+    if types <= _INT_ONLY and set(payload) <= _BIT_VALUES:
+        return b"B" + bytes(payload)
+    if types <= _VALUE_TYPES:
         return b"V" + b"".join(
             [b"\x00" if v is BOT else b"\x01" + _LENGTH.pack(len(v)) + v for v in payload]
         )
