@@ -21,7 +21,7 @@ def main() -> None:
     )
     print("per-step message counts:")
     for step in record.steps:
-        pairs = sum(len(envs) for envs in step.inboxes.values())
+        pairs = sum(len(step.inbox(r)) for r in step.part_of)
         print(f"  {step.step_id.label()}: {pairs} deliveries")
 
 

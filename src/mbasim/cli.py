@@ -101,8 +101,8 @@ def run_campaign(config: ExperimentConfig, record_sink=None):
             record_sink(record)
         if collect and record.steps:
             for step in record.steps:
-                for recipient, envs in sorted(step.inboxes.items()):
-                    for env in envs:
+                for recipient in step.part_of:
+                    for env in step.inbox(recipient):
                         step_rows.append(
                             {
                                 "trial": index,

@@ -107,14 +107,11 @@ _BIT_VALUES = frozenset({0, 1})
 
 
 def is_bit_vector(payload: tuple, m: int) -> bool:
-    """m components, each an int 0 or 1; bools, floats and other numbers
-    equal to 0 or 1 are not bits."""
-    if len(payload) != m:
-        return False
-    if set(map(type, payload)) <= _INT_ONLY:
-        return set(payload) <= _BIT_VALUES
-    return all(
-        isinstance(b, int) and b is not True and b is not False and b in (0, 1) for b in payload
+    """m components, each an exact int 0 or 1: the payloads
+    :func:`encode_payload` writes as ``B``.  Bools, enum members, floats and
+    other numbers equal to 0 or 1 are not bits."""
+    return (
+        len(payload) == m and set(map(type, payload)) <= _INT_ONLY and set(payload) <= _BIT_VALUES
     )
 
 

@@ -10,7 +10,7 @@ runtime monitor verdicts.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .core import (
@@ -86,24 +86,11 @@ class TrialRecord:
         return not self.halted or not self.agreement or bool(self.monitor_violations)
 
     def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "n": self.n,
-            "t": self.t,
-            "m": self.m,
-            "adversary": self.adversary,
-            "halted": self.halted,
-            "mbba_iterations": self.mbba_iterations,
-            "comm_steps_raw": self.comm_steps_raw,
-            "comm_steps_with_barrier": self.comm_steps_with_barrier,
-            "halt_step": self.halt_step,
-            "agreement": self.agreement,
-            "consistency": self.consistency,
-            "monitor_violations": list(self.monitor_violations),
-            "output_vector_hex": self.output_vector_hex,
-            "ambiguous": self.ambiguous,
-            "step_log_hash": self.step_log_hash,
-        }
+        """The fields shown in the record's repr, as ``--out`` writes them."""
+        return {name: getattr(self, name) for name in _JSON_FIELDS}
+
+
+_JSON_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.repr)
 
 
 def adversary_rng(seed: int) -> random.Random:
@@ -116,10 +103,10 @@ def run_mgc(net: SyncNetwork, initial_vectors) -> dict:
     n, m = net.config.n, net.config.m
     states = {i: MgcState(i, n, m, tuple(initial_vectors[i])) for i in net.honest_ids}
     out1 = {i: st.step1_outgoing() for i, st in states.items()}
-    d1 = net.run_step(out1[net.honest_ids[0]].step_id, out1, PayloadKind.VALUES, states)
+    d1 = net.run_step(out1[net.honest_ids[0]].step_id, out1, PayloadKind.VALUES)
     t1 = net.tallies(d1, PayloadKind.VALUES)
     out2 = {i: st.step2_compute(t1[i]) for i, st in states.items()}
-    d2 = net.run_step(out2[net.honest_ids[0]].step_id, out2, PayloadKind.VALUES, states)
+    d2 = net.run_step(out2[net.honest_ids[0]].step_id, out2, PayloadKind.VALUES)
     t2 = net.tallies(d2, PayloadKind.VALUES)
     return {i: st.output_determination(t2[i]) for i, st in states.items()}
 
@@ -136,7 +123,7 @@ def run_trial(
     n, t, m = config.n, config.t, config.m
     if len(initial_vectors) != n:
         raise ValueError(f"need {n} initial vectors, got {len(initial_vectors)}")
-    honest = list(range(n - t))
+    honest = config.honest_ids
     for i in honest:
         if not is_value_vector(tuple(initial_vectors[i]), m):
             raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
@@ -177,7 +164,7 @@ def run_trial(
             break
         sid = lead.step_id()
         outgoing = {i: st.outgoing() for i, st in active.items()}
-        delivery = net.run_step(sid, outgoing, PayloadKind.BITS, mbba_states)
+        delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
         tallies = net.tallies(delivery, PayloadKind.BITS, signature_check(registry, common, sid))
 
         branch_reports = {i: st.apply(tallies[i]) for i, st in active.items()}

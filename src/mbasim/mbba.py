@@ -83,7 +83,6 @@ class MbbaState:
     output: Optional[tuple] = None
     final_envelope: Optional[MessageEnvelope] = None
     finalized_at: list = field(default_factory=list)
-    _final_sent: bool = False
 
     def __post_init__(self) -> None:
         if len(self.bits) != self.m:
@@ -182,9 +181,5 @@ class MbbaState:
         halted_at = self.step_id()
         self.output = tuple(self.bits)
         self.phase = MbbaPhase.HALTED
-        if not self._final_sent:
-            self._final_sent = True
-            self.final_envelope = MessageEnvelope(
-                self.node, halted_at, self.output, final=True
-            )
+        self.final_envelope = MessageEnvelope(self.node, halted_at, self.output, final=True)
         return self.output

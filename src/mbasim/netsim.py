@@ -16,11 +16,12 @@ signature, so they never enter a coin step's signature set.
 An adversary's list output is the same list for every honest recipient, so
 a broadcast is one per-recipient send among others and the output shape
 never affects delivery or the step log, which hashes what each recipient
-received.  A delivery is kept as the honest part, identical for every
-recipient, plus each recipient's adversarial envelopes.  Recipients handed
-the same adversary envelope objects are encoded and tallied once between
-them, so a strategy should reuse its envelope objects for recipients that
-hear the same thing.
+received.  Each adversary envelope object is validated once per step (see
+:class:`Adversary`), which makes two envelopes that encode alike tally
+alike.  A delivery is kept as the honest part, identical for every
+recipient, plus the distinct adversary parts: recipients whose adversary
+envelopes encode alike share one part, and so one step-log entry and one
+tally.  Reusing envelope objects only saves their encoding.
 """
 
 from __future__ import annotations
@@ -29,7 +30,6 @@ import hashlib
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
 
 from .core import (
     MessageEnvelope,
@@ -38,8 +38,8 @@ from .core import (
     encode_envelope,
     encode_payload,
     ingest,
-    is_bit_vector,
     merge_tallies,
+    well_formed,
 )
 from .mbba import Branch
 
@@ -74,6 +74,16 @@ class NetworkConfig:
             raise ValueError(f"n >= 3t+1 required, got n={self.n}, t={self.t}")
 
     @property
+    def honest_ids(self) -> list:
+        """The honest node ids: every id below the corrupt ones."""
+        return list(range(self.n - self.t))
+
+    @property
+    def corrupt_ids(self) -> list:
+        """The adversary's node ids: the top t."""
+        return list(range(self.n - self.t, self.n))
+
+    @property
     def honest_ratio(self) -> float:
         return (self.n - self.t) / self.n
 
@@ -84,17 +94,12 @@ class AdversaryView:
 
     ``honest_envelopes`` is the effective broadcast picture of the step:
     fresh messages of active honest nodes plus replays of halted ones.
-    ``honest_states`` exposes the live protocol state objects (worst-case
-    adversary); strategies must treat them as read-only.
     """
 
     step_id: StepId
     kind: PayloadKind
     honest_envelopes: list
-    honest_states: dict
-    config: NetworkConfig
     honest_ids: list
-    corrupt_ids: list
     active_honest: list
 
 
@@ -103,11 +108,17 @@ class Adversary:
 
     ``act`` returns either a dict keyed by recipient (full per-recipient
     equivocation) or a list, which means that same list for every honest
-    recipient; the two shapes deliver and log identically.  Hand recipients
-    that hear the same thing the same envelope objects: the engine encodes
-    each object once per step and tallies each distinct list of objects
-    once.  ``end_step`` runs after delivery, letting stateful strategies
-    advance internal bookkeeping.
+    recipient; the two shapes deliver and log identically.  Every item must
+    be a :class:`MessageEnvelope` whose sender is an ``int`` among the
+    corrupt ids, whose ``step_id`` is a ``StepId`` of ints equal to the
+    current step, whose ``final`` is a ``bool`` and whose signature is None
+    or 1 to 65535 ``bytes``; anything else raises :class:`SimulationError`
+    (:class:`SpoofingError` for an honest sender).  The payload may be
+    anything: malformed payloads are dropped when tallied.  The engine
+    encodes each envelope object once per step, so handing recipients that
+    hear the same thing the same objects saves encoding.  ``end_step`` runs
+    after delivery, letting stateful strategies advance internal
+    bookkeeping.
     """
 
     name = "silent"
@@ -117,8 +128,8 @@ class Adversary:
         self.registry = registry
         self.common = common
         self.rng = rng
-        self.corrupt_ids = list(range(config.n - config.t, config.n))
-        self.honest_ids = list(range(config.n - config.t))
+        self.corrupt_ids = config.corrupt_ids
+        self.honest_ids = config.honest_ids
         self.initial_vectors = initial_vectors
 
     def act(self, view: "AdversaryView"):
@@ -128,38 +139,60 @@ class Adversary:
         pass
 
 
+def _check_sent(env, step_id: StepId, corrupt: frozenset) -> None:
+    """Raise unless ``env`` is an envelope the adversary may send this step
+    (the rules are in :class:`Adversary`).  With these fields fixed, two
+    envelopes encode alike exactly when they tally alike."""
+    if type(env) is not MessageEnvelope:
+        raise SimulationError(f"adversary output item of type {type(env).__name__}")
+    if type(env.sender) is not int:
+        raise SimulationError(f"adversary sender {env.sender!r} is not an int")
+    if env.sender not in corrupt:
+        raise SpoofingError(f"adversary message under identity {env.sender}")
+    sid = env.step_id
+    if sid is not step_id and not (
+        type(sid) is StepId and sid == step_id and all(isinstance(x, int) for x in sid)
+    ):
+        raise SimulationError(f"adversary envelope from step {sid!r}, not {step_id.label()}")
+    if type(env.final) is not bool:
+        raise SimulationError(f"adversary finality marker {env.final!r} is not a bool")
+    sig = env.signature
+    if sig is not None and (type(sig) is not bytes or not 0 < len(sig) <= 0xFFFF):
+        raise SimulationError(f"adversary signature {sig!r:.40} is not None or 1-65535 bytes")
+
+
+@dataclass(slots=True)
 class StepDelivery:
-    """One step's deliveries: shared part plus per-recipient extras.
+    """One step's deliveries: the honest part plus the adversary's parts.
 
     ``shared`` holds the honest envelopes and the replays of halted honest
-    nodes, which every honest recipient receives; ``extras[r]`` holds what
-    the adversary delivered to recipient r, replays of its finals included.
-    The step encodes each delivered envelope once and carries the encodings
-    here, position for position: ``shared_encoded`` beside ``shared`` and
-    ``extras_encoded[r]`` beside ``extras[r]``.  They fix the delivery order
-    and feed the step-log hash.
+    nodes, which every honest recipient receives.  A recipient's adversary
+    part is what the adversary delivered to it, replays of its finals
+    included, sorted by encoding.  ``parts`` holds each distinct part once,
+    in the order of the lowest recipient that got it, and ``part_of`` maps
+    every honest recipient, in id order, to the index of its part.
+    Recipients whose parts encode alike share one part (the envelopes of the
+    first of them).  ``shared_encoded`` and ``parts_encoded`` carry the
+    encodings position for position; they fix the delivery order and feed
+    the step-log hash.
     """
 
-    __slots__ = ("step_id", "shared", "extras", "shared_encoded", "extras_encoded")
+    step_id: StepId
+    shared: list
+    shared_encoded: list
+    parts: list
+    parts_encoded: list
+    part_of: dict
 
-    def __init__(
-        self, step_id: StepId, shared: list, extras: dict, shared_encoded: list, extras_encoded: dict
-    ):
-        self.step_id = step_id
-        self.shared = shared
-        self.extras = extras
-        self.shared_encoded = shared_encoded
-        self.extras_encoded = extras_encoded
+    @property
+    def extras(self) -> dict:
+        """Each recipient's adversary part, for the recipients that have one."""
+        parts = self.parts
+        return {r: parts[k] for r, k in self.part_of.items() if parts[k]}
 
     def inbox(self, recipient: int) -> list:
         """Every envelope delivered to ``recipient``, own broadcast included."""
-        return self.shared + self.extras.get(recipient, [])
-
-
-@dataclass
-class StepRecord:
-    step_id: StepId
-    inboxes: dict
+        return self.shared + self.parts[self.part_of[recipient]]
 
 
 def _restamp(env: MessageEnvelope, step_id: StepId) -> MessageEnvelope:
@@ -173,11 +206,10 @@ class SyncNetwork:
     def __init__(self, config: NetworkConfig, adversary, collect_steps: bool = False):
         self.config = config
         self.adversary = adversary
-        self.honest_ids = list(range(config.n - config.t))
-        self.corrupt_ids = list(range(config.n - config.t, config.n))
+        self.honest_ids = config.honest_ids
+        self._corrupt = frozenset(config.corrupt_ids)
         self.collect_steps = collect_steps
-        self.steps: list[StepRecord] = []
-        self.step_count = 0
+        self.steps: list[StepDelivery] = []
         self._halted_star: dict[int, MessageEnvelope] = {}
         # recipient -> {corrupt sender: the final it was handed first}
         self._adv_star: dict[int, dict] = {r: {} for r in self.honest_ids}
@@ -192,23 +224,9 @@ class SyncNetwork:
         """Record an honest node's final broadcast for replay in later steps."""
         self._halted_star.setdefault(env.sender, env)
 
-    def _register_adversary_finals(self, delivered: dict) -> None:
-        m = self.config.m
-        for recipient, envs in delivered.items():
-            stars = self._adv_star[recipient]
-            for env in envs:
-                if env.final and env.sender not in stars and is_bit_vector(env.payload, m):
-                    stars[env.sender] = env
-
     # -- the step ---------------------------------------------------------------
 
-    def run_step(
-        self,
-        step_id: StepId,
-        honest_outgoing: dict,
-        kind: PayloadKind,
-        honest_states: Optional[dict] = None,
-    ) -> StepDelivery:
+    def run_step(self, step_id: StepId, honest_outgoing: dict, kind: PayloadKind) -> StepDelivery:
         shared = [honest_outgoing[i] for i in sorted(honest_outgoing)]
         # Encodings of the honest payloads, keyed by identity: nodes that
         # computed their message from one shared tally send one payload
@@ -227,56 +245,51 @@ class SyncNetwork:
             shared.append(env)
             shared_encoded.append(encoded)
 
-        active = sorted(honest_outgoing)
         view = AdversaryView(
             step_id=step_id,
             kind=kind,
             honest_envelopes=shared,
-            honest_states=honest_states or {},
-            config=self.config,
             honest_ids=self.honest_ids,
-            corrupt_ids=self.corrupt_ids,
-            active_honest=active,
+            active_honest=sorted(honest_outgoing),
         )
         sends = self.adversary.act(view)
         if not isinstance(sends, dict):  # a list is the same list for every recipient
             sends = dict.fromkeys(self.honest_ids, list(sends))
-        corrupt = set(self.corrupt_ids)
-        # (envelope, encoding) of this step's adversary envelopes, keyed by
-        # identity: equal payloads may encode differently ((1.0, 0) == (1, 0)).
-        # Each pair holds its envelope, so no other object takes its id.
+        m = self.config.m
+        # (envelope, encoding) of each adversary envelope object, keyed by
+        # identity and filled when the step first sees (and checks) the
+        # object.  Each pair holds its envelope, so no other object takes
+        # its id.
         encodings: dict[int, tuple] = {}
-        extras: dict[int, list] = {}
-        extras_encoded: dict[int, list] = {}
+        index: dict[tuple, int] = {}  # a part's encodings -> its index
+        parts: list = []
+        part_of: dict[int, int] = {}
         for r in self.honest_ids:
             stars = self._adv_star[r]
             out = [self._replay(star, step_id) for star in stars.values()]
             for env in sends.get(r, ()):
                 pair = encodings.get(id(env))
-                if pair is None:  # first sight of this object in the step
-                    if env.sender not in corrupt:
-                        raise SpoofingError(f"adversary message under identity {env.sender}")
-                    if env.step_id != step_id:
-                        raise SimulationError("adversary envelope from another step")
+                if pair is None:
+                    _check_sent(env, step_id, self._corrupt)
                     pair = encodings[id(env)] = (env, encode_envelope(env))
                 if env.sender not in stars:  # a bound sender says only its replay
                     out.append(pair)
-            if out:
-                # An encoding starts with the sender's id in big-endian, so
-                # ordering by encoding orders by (sender, encoding).
-                out.sort(key=itemgetter(1))
-                extras[r] = [env for env, _ in out]
-                extras_encoded[r] = [data for _, data in out]
-        # A final delivered now is replayed from the next step on.
-        self._register_adversary_finals(extras)
+            # An encoding starts with the sender's id in big-endian, so
+            # ordering by encoding orders by (sender, encoding).
+            out.sort(key=itemgetter(1))
+            key = tuple([data for _, data in out])
+            k = part_of[r] = index.setdefault(key, len(parts))
+            if k == len(parts):
+                parts.append([env for env, _ in out])
+            # A final delivered now is replayed from the next step on.
+            for env in parts[k]:
+                if env.final and env.sender not in stars and well_formed(env, m, PayloadKind.BITS):
+                    stars[env.sender] = env
 
-        delivery = StepDelivery(step_id, shared, extras, shared_encoded, extras_encoded)
+        delivery = StepDelivery(step_id, shared, shared_encoded, parts, list(index), part_of)
         self._hash_step(delivery)
         if self.collect_steps:
-            self.steps.append(
-                StepRecord(step_id, {r: delivery.inbox(r) for r in self.honest_ids})
-            )
-        self.step_count += 1
+            self.steps.append(delivery)
         self.adversary.end_step(view)
         return delivery
 
@@ -298,19 +311,19 @@ class SyncNetwork:
         After the step id and the number of distinct inboxes, each distinct
         inbox is framed once: its envelope count, each envelope's length,
         then the encodings.  With more than one, the index of each honest
-        recipient's inbox follows in recipient order.
+        recipient's inbox follows in recipient order.  Every inbox starts
+        with the shared part, so the distinct inboxes are the distinct
+        adversary parts.
         """
         sid = delivery.step_id
-        extras = delivery.extras_encoded
-        # Every inbox starts with the shared part, so the extras tell them apart.
-        index: dict[tuple, int] = {}
-        which = [index.setdefault(tuple(extras.get(r, ())), len(index)) for r in self.honest_ids]
-        parts = [b"step", _STEP.pack(sid.phase, sid.iteration, sid.step, len(index))]
-        for extra in index:
+        distinct = delivery.parts_encoded
+        parts = [b"step", _STEP.pack(sid.phase, sid.iteration, sid.step, len(distinct))]
+        for extra in distinct:
             inbox = [*delivery.shared_encoded, *extra]
             parts.append(struct.pack(f">{len(inbox) + 1}I", len(inbox), *map(len, inbox)))
             parts += inbox
-        if len(index) > 1:
+        if len(distinct) > 1:
+            which = delivery.part_of.values()
             parts.append(struct.pack(f">{len(which)}I", *which))
         self._log.update(b"".join(parts))
 
@@ -320,27 +333,23 @@ class SyncNetwork:
     # -- tally plumbing -------------------------------------------------------
 
     def tallies(self, delivery: StepDelivery, kind: PayloadKind, signature_check=None) -> dict:
-        """Per-recipient tallies: one per distinct delivery, shared by its recipients.
+        """Per-recipient tallies: one per distinct inbox, shared by its recipients.
 
-        The shared part is tallied once.  Recipients whose extras are the
-        same envelope objects share one merged tally.  The key is identity,
-        not equality: value-equal envelopes may tally differently ((1.0, 0)
-        == (1, 0), yet only the second is a bit vector).  Every keyed
-        envelope lives on ``delivery``, so its id is stable for the call.
+        The shared part is tallied once, and each non-empty adversary part
+        once more on top of it.  ``run_step`` groups recipients by the
+        encodings of their parts and rejects the adversary output on which
+        equal encodings could tally differently, so one tally per part is
+        the tally of each of its recipients.
         """
         m = self.config.m
         base = ingest(delivery.shared, m=m, kind=kind, signature_check=signature_check)
-        by_extras = {(): base}
-        out = {}
-        for r in self.honest_ids:
-            extra_envs = delivery.extras.get(r, ())
-            key = tuple(map(id, extra_envs))
-            tally = by_extras.get(key)
-            if tally is None:
-                extra = ingest(extra_envs, m=m, kind=kind, signature_check=signature_check)
-                tally = by_extras[key] = merge_tallies(base, extra)
-            out[r] = tally
-        return out
+        by_part = [
+            merge_tallies(base, ingest(part, m=m, kind=kind, signature_check=signature_check))
+            if part
+            else base
+            for part in delivery.parts
+        ]
+        return {r: by_part[k] for r, k in delivery.part_of.items()}
 
 
 # -- runtime monitors ---------------------------------------------------------

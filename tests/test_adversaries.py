@@ -84,10 +84,7 @@ def build_view(config, step, bits_per_node, registry, common, iteration=0):
         step_id=sid,
         kind=PayloadKind.BITS,
         honest_envelopes=envs,
-        honest_states={},
-        config=config,
-        honest_ids=list(range(config.n - config.t)),
-        corrupt_ids=list(range(config.n - config.t, config.n)),
+        honest_ids=config.honest_ids,
         active_honest=sorted(bits_per_node),
     )
 
@@ -174,10 +171,7 @@ class TestEquivocator:
             step_id=sid,
             kind=PayloadKind.BITS,
             honest_envelopes=[MessageEnvelope(i, sid, (0, 1)) for i in range(3)],
-            honest_states={},
-            config=config,
             honest_ids=[0, 1, 2],
-            corrupt_ids=[3],
             active_honest=[0, 1, 2],
         )
         sends = adv.act(view)
@@ -219,10 +213,7 @@ class TestSharedEnvelopes:
             step_id=sid,
             kind=PayloadKind.VALUES,
             honest_envelopes=envs,
-            honest_states={},
-            config=self.config,
             honest_ids=list(range(5)),
-            corrupt_ids=[5, 6],
             active_honest=list(range(5)),
         )
 
@@ -289,8 +280,8 @@ class TestRandomByzantine:
         seen = defaultdict(set)
         replayed = False
         for step in rec.steps:
-            for recipient, envs in step.inboxes.items():
-                for env in envs:
+            for recipient in step.part_of:
+                for env in step.inbox(recipient):
                     if env.final and env.sender >= 5:
                         key = (env.sender, recipient)
                         replayed = replayed or env.payload in seen[key]

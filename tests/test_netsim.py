@@ -64,6 +64,11 @@ def make_net(n=4, t=1, m=1, seed=0, adversary=None, **kw):
     return config, SyncNetwork(config, adv, **kw)
 
 
+def inboxes(delivery):
+    """recipient -> every envelope delivered to it."""
+    return {r: delivery.inbox(r) for r in delivery.part_of}
+
+
 def honest_bits_step(net, bits_per_node, sid=SID):
     out = {
         i: MessageEnvelope(i, sid, tuple(bits)) for i, bits in bits_per_node.items()
@@ -120,6 +125,36 @@ class TestDelivery:
         with pytest.raises(SimulationError):
             honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
 
+    @pytest.mark.parametrize(
+        "item",
+        [
+            None,
+            MessageEnvelope(3, SID, (1,), signature="sig"),
+            MessageEnvelope(3, SID, (1,), signature=5),
+            MessageEnvelope(3, SID, (1,), signature=b""),
+            MessageEnvelope(3, SID, (1,), signature=bytes(1 << 16)),
+            MessageEnvelope(3.0, SID, (1,)),
+            MessageEnvelope(3, tuple(SID), (1,)),
+            MessageEnvelope(3, StepId(Phase.MBBA, 0.0, 1), (1,)),
+            MessageEnvelope(3, SID, (1,), final=2),
+        ],
+        ids=["none", "str-sig", "int-sig", "empty-sig", "long-sig", "float-sender", "tuple-step",
+             "float-iteration", "int-final"],
+    )
+    @pytest.mark.parametrize("shape", ["list", "dict"])
+    def test_malformed_output_rejected(self, item, shape):
+        plan = [MessageEnvelope(3, SID, (0,)), item]
+        _, net = make_net(adversary=ScriptedAdversary([_shaped(plan, shape, range(3))]))
+        with pytest.raises(SimulationError):
+            honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
+
+    def test_final_with_unsized_payload_dropped(self):
+        final = MessageEnvelope(3, SID, None, final=True)
+        _, net = make_net(adversary=ScriptedAdversary([[final]]))
+        delivery = honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
+        tallies = net.tallies(delivery, PayloadKind.BITS)
+        assert all(tally.senders() == {0, 1, 2} for tally in tallies.values())
+
     def test_adversary_final_binds_later_messages(self):
         lie = MessageEnvelope(3, SID, (1,), final=True)
         sid2 = StepId(Phase.MBBA, 0, 2)
@@ -162,7 +197,7 @@ class TestDelivery:
         inputs = build_inputs("split", (), config, scenario_rng(0))
         rec = run_trial(config, inputs, FinalAtFirstBitStep(), collect_steps=True)
         assert rec.halted and rec.agreement and not rec.monitor_violations
-        by_step = {step.step_id: step.inboxes for step in rec.steps}
+        by_step = {step.step_id: inboxes(step) for step in rec.steps}
         sid2 = StepId(Phase.MBBA, 0, 2)
         assert sid2 in by_step
         for r in range(3):
@@ -270,8 +305,8 @@ class TestOutputShape:
         fields = [rec.to_json_dict() for rec in records]
         assert fields[0] == fields[1] == fields[2]
         assert fields[0]["halted"] and fields[0]["agreement"]
-        inboxes = [[(step.step_id, step.inboxes) for step in rec.steps] for rec in records]
-        assert inboxes[0] == inboxes[1] == inboxes[2]
+        steps = [[(step.step_id, inboxes(step)) for step in rec.steps] for rec in records]
+        assert steps[0] == steps[1] == steps[2]
         assert [rec.outputs for rec in records[1:]] == [records[0].outputs] * 2
 
 
@@ -319,7 +354,7 @@ class TestDeterminism:
         assert runs[0].steps is not None
         assert [s.step_id for s in runs[0].steps] == [s.step_id for s in runs[1].steps]
         for a, b in zip(runs[0].steps, runs[1].steps):
-            assert a.inboxes == b.inboxes
+            assert inboxes(a) == inboxes(b)
 
 
 # A trial whose adversary sends components with no canonical bytes: an
@@ -421,6 +456,24 @@ class TestSharedTallies:
             direct = ingest(delivery.inbox(r), m=2, kind=PayloadKind.BITS)
             assert (tallies[r].zeros, tallies[r].ones) == (direct.zeros, direct.ones)
 
+    def test_byte_equal_lists_share_one_tally_and_one_inbox(self):
+        # recipients 0 and 1 get distinct but byte-equal envelopes, 2 gets none
+        one = MessageEnvelope(3, SID, (1, 0), final=True)
+        plans = [
+            {0: [one], 1: [MessageEnvelope(3, SID, (1, 0), final=True)]},
+            {0: [one], 1: [one]},
+        ]
+        hashes = []
+        for plan in plans:
+            _, net = make_net(m=2, adversary=ScriptedAdversary([plan]))
+            delivery = honest_bits_step(net, {0: [0, 1], 1: [0, 1], 2: [0, 1]})
+            tallies = net.tallies(delivery, PayloadKind.BITS)
+            assert delivery.part_of == {0: 0, 1: 0, 2: 1}
+            assert tallies[0] is tallies[1] is not tallies[2]
+            assert (tallies[0].ones, tallies[2].ones) == ([1, 3], [0, 3])
+            hashes.append(net.log_hash())
+        assert hashes[0] == hashes[1]
+
     @pytest.mark.parametrize("name", ["split_keeper", "equivocator"])
     def test_one_ingest_per_distinct_extras(self, name, monkeypatch):
         n, t, m, seed = 7, 2, 4, 9
@@ -462,22 +515,25 @@ class TestEncodeOnce:
             i: MessageEnvelope(i, sid, tuple((i >> c) & 1 for c in range(m)))
             for i in range(1, n - t)
         }
+        real_act, sent = adv.act, []
+        monkeypatch.setattr(adv, "act", lambda view: sent.append(real_act(view)) or sent[0])
         real = netsim.encode_envelope
         calls = []
         monkeypatch.setattr(
             netsim, "encode_envelope", lambda env, *args: calls.append(env) or real(env, *args)
         )
         delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
-        delivered = delivery.shared + [e for envs in delivery.extras.values() for e in envs]
+        (sends,) = sent
         assert delivery.extras, name
-        # The only envelopes delivered twice are one object sent twice
-        # (random_byzantine's exact duplicates), which is encoded once.
-        assert len(calls) == len({id(e) for e in delivered})
-        assert len(calls) <= len(delivery.shared) + sum(map(len, delivery.extras.values()))
+        # The adversary's envelopes are encoded once per distinct object
+        # (random_byzantine's exact duplicates are one object sent twice).
+        objects = {id(e) for envs in sends.values() for e in envs}
+        assert len(calls) == len(delivery.shared) + len(objects)
         assert delivery.shared_encoded == [real(e) for e in delivery.shared]
-        assert delivery.extras_encoded == {
-            r: [real(e) for e in envs] for r, envs in delivery.extras.items()
-        }
+        assert delivery.parts_encoded == [tuple(map(real, part)) for part in delivery.parts]
+        for r in range(n - t):
+            part = delivery.parts_encoded[delivery.part_of[r]]
+            assert list(part) == sorted(map(real, sends.get(r, ()))), (name, r)
 
     def test_replayed_payload_encoded_once(self, monkeypatch):
         _, net = make_net(n=4, t=1, m=2)
