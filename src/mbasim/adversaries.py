@@ -19,6 +19,8 @@ run.  Available strategies:
                           hashed signatures is the lexicographic minimum.
 * ``random_byzantine``  - seeded random noise: wrong kinds, wrong lengths,
                           junk signatures, occasional forged finality.
+                          Its draws reproduce ``randrange``'s word for word
+                          (``test_act_matches_randrange_reference``).
 """
 
 from __future__ import annotations
@@ -148,61 +150,84 @@ class CrashAfterAdversary(Adversary):
                     self.next_out[z] = st.outgoing()
 
 
+_BYTES = tuple(bytes([b]) for b in range(256))
+
+
+def _random_bits(rng, k: int) -> tuple:
+    """``tuple(rng.randrange(2) for _ in range(k))``: the same
+    ``getrandbits(2)`` calls as CPython's ``_randbelow``, without its frames."""
+    getrandbits = rng.getrandbits
+    bits = []
+    for _ in range(k):
+        b = getrandbits(2)
+        while b > 1:
+            b = getrandbits(2)
+        bits.append(b)
+    return tuple(bits)
+
+
+def _random_byte(rng) -> bytes:
+    """``bytes([rng.randrange(256)])``: ``getrandbits(9)`` until below 256."""
+    b = rng.getrandbits(9)
+    while b > 255:
+        b = rng.getrandbits(9)
+    return _BYTES[b]
+
+
 class RandomByzantineAdversary(Adversary):
-    """Seeded random noise, including malformed payloads and bogus signatures."""
+    """Seeded random noise, including malformed payloads and bogus signatures.
+
+    Its draws reproduce ``randrange``'s word for word, pinned by
+    ``tests/test_adversaries.py::test_act_matches_randrange_reference``.
+    """
 
     name = "random_byzantine"
 
     def act(self, view: AdversaryView):
         rng = self.rng
+        random = rng.random
         m = self.config.m
-        step3 = view.step_id.phase == Phase.MBBA and view.step_id.step == 3
+        sid = view.step_id
+        bits = view.kind == PayloadKind.BITS
+        step3 = sid.phase == Phase.MBBA and sid.step == 3
+        sigs = dict.fromkeys(self.corrupt_ids)
+        if step3:
+            message = signing_message(self.common, sid.iteration)
+            sigs = {z: self.registry.sign(z, message) for z in self.corrupt_ids}
         sends: dict[int, list] = {}
         for r in view.honest_ids:
             envs = []
             for z in self.corrupt_ids:
-                roll = rng.random()
-                if roll < 0.10:
+                if random() < 0.10:
                     continue  # stays silent toward this recipient
                 length = m
-                if rng.random() < 0.05:
+                if random() < 0.05:
                     length = max(1, m + rng.choice((-1, 1)))
-                wrong_kind = rng.random() < 0.05
-                if (view.kind == PayloadKind.BITS) != wrong_kind:
-                    payload = tuple(rng.randrange(2) for _ in range(length))
+                if bits != (random() < 0.05):  # the other kind, 5% of the time
+                    payload = _random_bits(rng, length)
                 else:
                     payload = tuple(
-                        BOT if rng.random() < 0.2 else bytes([rng.randrange(256)])
-                        for _ in range(length)
+                        [BOT if random() < 0.2 else _random_byte(rng) for _ in range(length)]
                     )
                 sig = None
                 if step3:
-                    sig_roll = rng.random()
+                    sig_roll = random()
                     if sig_roll < 0.75:
-                        sig = self.registry.sign(
-                            z, signing_message(self.common, view.step_id.iteration)
-                        )
+                        sig = sigs[z]
                     elif sig_roll < 0.90:
                         sig = rng.randbytes(32)
-                final = view.kind == PayloadKind.BITS and rng.random() < 0.02
-                envs.append(
-                    MessageEnvelope(z, view.step_id, payload, signature=sig, final=final)
-                )
-                if rng.random() < 0.05 and envs:
+                final = bits and random() < 0.02
+                envs.append(MessageEnvelope(z, sid, payload, signature=sig, final=final))
+                if random() < 0.05:
                     envs.append(envs[-1])  # exact duplicate, collapses to one
-                if rng.random() < 0.05:
+                if random() < 0.05:
                     # well-formed contrasting second message: equivocation,
                     # gets this node discarded at this recipient for the step
-                    if view.kind == PayloadKind.BITS:
-                        alt = tuple(rng.randrange(2) for _ in range(m))
+                    if bits:
+                        alt = _random_bits(rng, m)
                     else:
-                        alt = tuple(bytes([rng.randrange(256)]) for _ in range(m))
-                    alt_sig = None
-                    if step3:
-                        alt_sig = self.registry.sign(
-                            z, signing_message(self.common, view.step_id.iteration)
-                        )
-                    envs.append(MessageEnvelope(z, view.step_id, alt, signature=alt_sig))
+                        alt = tuple([_random_byte(rng) for _ in range(m)])
+                    envs.append(MessageEnvelope(z, sid, alt, signature=sigs[z]))
             if envs:
                 sends[r] = envs
         return sends

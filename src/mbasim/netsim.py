@@ -108,17 +108,19 @@ class Adversary:
 
     ``act`` returns either a dict keyed by recipient (full per-recipient
     equivocation) or a list, which means that same list for every honest
-    recipient; the two shapes deliver and log identically.  Every item must
-    be a :class:`MessageEnvelope` whose sender is an ``int`` among the
-    corrupt ids, whose ``step_id`` is a ``StepId`` of ints equal to the
-    current step, whose ``final`` is a ``bool`` and whose signature is None
-    or 1 to 65535 ``bytes``; anything else raises :class:`SimulationError`
-    (:class:`SpoofingError` for an honest sender).  The payload may be
-    anything: malformed payloads are dropped when tallied.  The engine
-    encodes each envelope object once per step, so handing recipients that
-    hear the same thing the same objects saves encoding.  ``end_step`` runs
-    after delivery, letting stateful strategies advance internal
-    bookkeeping.
+    recipient; the two shapes deliver and log identically.  The list, and
+    each value of the dict, may be any iterable of items; anything else
+    (``None``, an ``int``, a bare envelope) raises :class:`SimulationError`.
+    Every item must be a :class:`MessageEnvelope` whose sender is an ``int``
+    among the corrupt ids, whose ``step_id`` is a ``StepId`` of ints equal
+    to the current step, whose ``final`` is a ``bool`` and whose signature
+    is None or 1 to 65535 ``bytes``; anything else raises
+    :class:`SimulationError` (:class:`SpoofingError` for an honest sender).
+    The payload may be anything: malformed payloads are dropped when
+    tallied.  The engine encodes each envelope object once per step, so
+    handing recipients that hear the same thing the same objects saves
+    encoding.  ``end_step`` runs after delivery, letting stateful strategies
+    advance internal bookkeeping.
     """
 
     name = "silent"
@@ -159,6 +161,17 @@ def _check_sent(env, step_id: StepId, corrupt: frozenset) -> None:
     sig = env.signature
     if sig is not None and (type(sig) is not bytes or not 0 < len(sig) <= 0xFFFF):
         raise SimulationError(f"adversary signature {sig!r:.40} is not None or 1-65535 bytes")
+
+
+def _items(sent):
+    """The adversary's sends to one recipient as a list or tuple; raise
+    SimulationError when they are not an iterable of items."""
+    if type(sent) is list or type(sent) is tuple:
+        return sent
+    try:
+        return list(sent)
+    except TypeError:
+        raise SimulationError(f"adversary output of type {type(sent).__name__}") from None
 
 
 @dataclass(slots=True)
@@ -254,7 +267,7 @@ class SyncNetwork:
         )
         sends = self.adversary.act(view)
         if not isinstance(sends, dict):  # a list is the same list for every recipient
-            sends = dict.fromkeys(self.honest_ids, list(sends))
+            sends = dict.fromkeys(self.honest_ids, _items(sends))
         m = self.config.m
         # (envelope, encoding) of each adversary envelope object, keyed by
         # identity and filled when the step first sees (and checks) the
@@ -267,7 +280,7 @@ class SyncNetwork:
         for r in self.honest_ids:
             stars = self._adv_star[r]
             out = [self._replay(star, step_id) for star in stars.values()]
-            for env in sends.get(r, ()):
+            for env in _items(sends.get(r, ())):
                 pair = encodings.get(id(env))
                 if pair is None:
                     _check_sent(env, step_id, self._corrupt)

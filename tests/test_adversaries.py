@@ -1,10 +1,20 @@
-"""Strategy behavior: crash equivalence, boundary pushing, coin splitting."""
+"""Strategy behavior: crash equivalence, boundary pushing, coin splitting,
+and random_byzantine's draws against randrange."""
+
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_adversary
-from mbasim.adversaries import make_adversary
-from mbasim.core import MessageEnvelope, PayloadKind, Phase, StepId, ingest
+from mbasim.adversaries import (
+    RandomByzantineAdversary,
+    _random_bits,
+    _random_byte,
+    make_adversary,
+)
+from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId, ingest
 from mbasim.crypto import KeyRegistry, common_string, signing_message
 from mbasim.mba import adversary_rng, run_trial
 from mbasim.mbba import signature_check
@@ -287,3 +297,135 @@ class TestRandomByzantine:
                         replayed = replayed or env.payload in seen[key]
                         seen[key].add(env.payload)
         assert replayed
+
+
+# -- random_byzantine's draws against randrange ---------------------------------
+
+
+def test_random_bits_match_randrange():
+    for seed in range(500):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for k in range(1, 41):
+            bits = _random_bits(ours, k)
+            assert bits == tuple(theirs.randrange(2) for _ in range(k))
+            assert {type(b) for b in bits} == {int}
+            assert ours.getstate() == theirs.getstate()
+
+
+def test_random_byte_matches_randrange():
+    for seed in range(500):
+        ours, theirs = random.Random(seed), random.Random(seed)
+        for _ in range(40):
+            byte = _random_byte(ours)
+            assert type(byte) is bytes and byte == bytes([theirs.randrange(256)])
+            assert ours.getstate() == theirs.getstate()
+
+
+class RandrangeByzantine(RandomByzantineAdversary):
+    """random_byzantine's act as it was written with ``randrange``, kept as
+    the reference for the rewritten draws."""
+
+    def act(self, view):
+        rng = self.rng
+        m = self.config.m
+        step3 = view.step_id.phase == Phase.MBBA and view.step_id.step == 3
+        sends: dict[int, list] = {}
+        for r in view.honest_ids:
+            envs = []
+            for z in self.corrupt_ids:
+                roll = rng.random()
+                if roll < 0.10:
+                    continue  # stays silent toward this recipient
+                length = m
+                if rng.random() < 0.05:
+                    length = max(1, m + rng.choice((-1, 1)))
+                wrong_kind = rng.random() < 0.05
+                if (view.kind == PayloadKind.BITS) != wrong_kind:
+                    payload = tuple(rng.randrange(2) for _ in range(length))
+                else:
+                    payload = tuple(
+                        BOT if rng.random() < 0.2 else bytes([rng.randrange(256)])
+                        for _ in range(length)
+                    )
+                sig = None
+                if step3:
+                    sig_roll = rng.random()
+                    if sig_roll < 0.75:
+                        sig = self.registry.sign(
+                            z, signing_message(self.common, view.step_id.iteration)
+                        )
+                    elif sig_roll < 0.90:
+                        sig = rng.randbytes(32)
+                final = view.kind == PayloadKind.BITS and rng.random() < 0.02
+                envs.append(
+                    MessageEnvelope(z, view.step_id, payload, signature=sig, final=final)
+                )
+                if rng.random() < 0.05 and envs:
+                    envs.append(envs[-1])  # exact duplicate, collapses to one
+                if rng.random() < 0.05:
+                    if view.kind == PayloadKind.BITS:
+                        alt = tuple(rng.randrange(2) for _ in range(m))
+                    else:
+                        alt = tuple(bytes([rng.randrange(256)]) for _ in range(m))
+                    alt_sig = None
+                    if step3:
+                        alt_sig = self.registry.sign(
+                            z, signing_message(self.common, view.step_id.iteration)
+                        )
+                    envs.append(MessageEnvelope(z, view.step_id, alt, signature=alt_sig))
+            if envs:
+                sends[r] = envs
+        return sends
+
+
+def _fields(env):
+    """Every field of an envelope with the exact type of each part."""
+    payload = env.payload
+    return (
+        type(env), type(env.sender), env.sender, env.step_id,
+        type(payload), tuple(payload), tuple(map(type, payload)),
+        type(env.signature), env.signature, type(env.final), env.final,
+    )
+
+
+def _first_seen(sends):
+    """For every sent item, in order, the position of its object's first use."""
+    items = [env for envs in sends.values() for env in envs]
+    first: dict[int, int] = {}
+    return [first.setdefault(id(env), k) for k, env in enumerate(items)]
+
+
+_STEPS = st.one_of(
+    st.tuples(st.just(Phase.MGC), st.just(0), st.integers(1, 2)),
+    st.tuples(st.just(Phase.MBBA), st.integers(0, 40), st.integers(1, 3)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.integers(4, 13),
+    m=st.integers(1, 32),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.lists(_STEPS, min_size=1, max_size=4),
+)
+def test_act_matches_randrange_reference(n, m, seed, steps):
+    config = NetworkConfig(n, (n - 1) // 3, m, seed)
+    registry, common = KeyRegistry.from_seed(seed, n), common_string(seed)
+    ours, ref = RandomByzantineAdversary(), RandrangeByzantine()
+    for adv in (ours, ref):
+        adv.setup(config, registry, common, None, adversary_rng(seed))
+    for phase, iteration, step in steps:
+        kind = PayloadKind.VALUES if phase == Phase.MGC else PayloadKind.BITS
+        view = AdversaryView(
+            step_id=StepId(phase, iteration, step),
+            kind=kind,
+            honest_envelopes=[],
+            honest_ids=config.honest_ids,
+            active_honest=config.honest_ids,
+        )
+        got, expected = ours.act(view), ref.act(view)
+        assert list(got) == list(expected)
+        for r, envs in expected.items():
+            assert list(map(_fields, got[r])) == list(map(_fields, envs))
+        assert _first_seen(got) == _first_seen(expected)
+        assert ours.rng.getstate() == ref.rng.getstate()

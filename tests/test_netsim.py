@@ -148,6 +148,17 @@ class TestDelivery:
         with pytest.raises(SimulationError):
             honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
 
+    @pytest.mark.parametrize(
+        "output",
+        [None, 5, MessageEnvelope(3, SID, (0,)), {0: MessageEnvelope(3, SID, (0,))}, {0: None},
+         {0: 5}],
+        ids=["none", "int", "bare-envelope", "dict-of-envelope", "dict-of-none", "dict-of-int"],
+    )
+    def test_malformed_container_rejected(self, output):
+        _, net = make_net(adversary=ScriptedAdversary([output]))
+        with pytest.raises(SimulationError):
+            honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
+
     def test_final_with_unsized_payload_dropped(self):
         final = MessageEnvelope(3, SID, None, final=True)
         _, net = make_net(adversary=ScriptedAdversary([[final]]))
