@@ -25,8 +25,6 @@ run.  Available strategies:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     BOT,
     MessageEnvelope,
@@ -36,9 +34,10 @@ from .core import (
     two_thirds_majority,
 )
 from .crypto import digest, signing_message
-from .mbba import MbbaPhase, MbbaState, grades_to_bits, signature_check
-from .mgc import MgcState
-from .netsim import Adversary, AdversaryView
+from .mba import Node
+from .mbba import signature_check
+from .mgc import _best_candidate
+from .netsim import Adversary, AdversaryView, _restamp
 
 
 class SilentAdversary(Adversary):
@@ -89,14 +88,10 @@ class CrashAfterAdversary(Adversary):
         if initial_vectors is None:
             raise ValueError("crash_after runs the honest protocol and needs initial vectors")
         self.steps_sent = 0
-        self.mgc: dict[int, MgcState] = {
-            z: MgcState(z, config.n, config.m, tuple(initial_vectors[z]))
+        self.nodes = [
+            Node(z, config.n, config.m, initial_vectors[z], registry.keypair(z), common)
             for z in self.corrupt_ids
-        }
-        self.mbba: dict[int, MbbaState] = {}
-        self.next_out: dict[int, Optional[MessageEnvelope]] = {
-            z: st.step1_outgoing() for z, st in self.mgc.items()
-        }
+        ]
         self.last_sent: list[MessageEnvelope] = []
 
     @property
@@ -107,47 +102,29 @@ class CrashAfterAdversary(Adversary):
         if self.crashed:
             return []
         self.steps_sent += 1
-        out = []
-        for env in self.next_out.values():
-            if env is None:
-                continue
-            if env.final and env.step_id != view.step_id:
-                # the finality broadcast of a node that halted last step
-                env = MessageEnvelope(env.sender, view.step_id, env.payload, final=True)
-            out.append(env)
-        self.last_sent = out
-        return list(out)
+        # A halted node says its final again; the engine delivers it once
+        # and then replays it in place of anything the node sends.
+        self.last_sent = [
+            node.message or _restamp(node.mbba.final_envelope, view.step_id)
+            for node in self.nodes
+        ]
+        return self.last_sent
 
     def end_step(self, view: AdversaryView) -> None:
+        """Step the running nodes on their inbox: the honest envelopes plus
+        this adversary's own sends, tallied by the step's rules."""
         if self.crashed:
             return
-        inbox = list(view.honest_envelopes) + self.last_sent
         sid = view.step_id
-        m = self.config.m
-        if sid.phase == Phase.MGC and sid.step == 1:
-            tally = ingest(inbox, m=m, kind=PayloadKind.VALUES)
-            self.next_out = {z: st.step2_compute(tally) for z, st in self.mgc.items()}
-        elif sid.phase == Phase.MGC and sid.step == 2:
-            tally = ingest(inbox, m=m, kind=PayloadKind.VALUES)
-            for z, st in self.mgc.items():
-                bits = grades_to_bits(st.output_determination(tally))
-                self.mbba[z] = MbbaState(
-                    z, self.config.n, m, self.registry.keypair(z), self.common, bits
-                )
-            self.next_out = {z: st.outgoing() for z, st in self.mbba.items()}
-        else:
-            check = signature_check(self.registry, self.common, sid)
-            tally = ingest(inbox, m=m, kind=PayloadKind.BITS, signature_check=check)
-            self.next_out = {}
-            for z, st in self.mbba.items():
-                if st.phase == MbbaPhase.HALTED:
-                    continue
-                st.apply(tally)
-                if st.phase == MbbaPhase.HALTED:
-                    # one last finality broadcast, replayed by the engine afterwards
-                    self.next_out[z] = st.final_envelope
-                else:
-                    self.next_out[z] = st.outgoing()
+        tally = ingest(
+            view.honest_envelopes + self.last_sent,
+            m=self.config.m,
+            kind=sid.kind,
+            signature_check=signature_check(self.registry, self.common, sid),
+        )
+        for node in self.nodes:
+            if node.message is not None:
+                node.advance(tally)
 
 
 _BYTES = tuple(bytes([b]) for b in range(256))
@@ -255,19 +232,10 @@ class SplitKeeperAdversary(Adversary):
 
     # -- value steps (graded consensus) ------------------------------------
 
-    def _best_value(self, counts: dict):
-        best, best_count = None, 0
-        for v, k in counts.items():
-            if v is BOT:
-                continue
-            if k > best_count or (k == best_count and best is not None and v < best):
-                best, best_count = v, k
-        return best, best_count
-
     def _act_values(self, view: AdversaryView):
         thr, flo, t = self._sizes()
         m = self.config.m
-        counts = ingest(view.honest_envelopes, m=m, kind=PayloadKind.VALUES).counts
+        tally = ingest(view.honest_envelopes, m=m, kind=PayloadKind.VALUES)
         active = view.active_honest
         # Step 1 primes a minimal relay majority; step 2 grades a low half at
         # 2 and starves the rest down to grade 1.
@@ -278,7 +246,9 @@ class SplitKeeperAdversary(Adversary):
         push_value: list = [None] * m
         push_set: list = [frozenset()] * m
         for c in range(m):
-            value, have = self._best_value(counts[c])
+            # the most held honest value, ties toward the smaller
+            value = _best_candidate(tally, c, 1)
+            have = tally.counts[c].get(value, 0)
             if value is not None and have + t >= thr and have <= flo:
                 push_value[c] = value
                 push_set[c] = frozenset(active[:size])

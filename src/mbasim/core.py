@@ -54,6 +54,11 @@ class StepId(NamedTuple):
         name = "mgc" if self.phase == Phase.MGC else "mbba"
         return f"{name}:{self.iteration}:{self.step}"
 
+    @property
+    def kind(self) -> PayloadKind:
+        """What the step's messages carry: values in MGC, bits in MBBA."""
+        return PayloadKind.VALUES if self.phase == Phase.MGC else PayloadKind.BITS
+
 
 @dataclass(frozen=True, slots=True)
 class MessageEnvelope:
@@ -95,11 +100,6 @@ def two_thirds_majority(n: int) -> int:
 def one_third_majority(n: int) -> int:
     """Smallest integer count strictly greater than n/3."""
     return n // 3 + 1
-
-
-def max_faulty(n: int) -> int:
-    """Largest t with n >= 3t + 1."""
-    return (n - 1) // 3
 
 
 _INT_ONLY = frozenset({int})
@@ -202,7 +202,6 @@ _CONFLICT = object()
 
 def ingest(
     step_messages: Iterable[MessageEnvelope],
-    self_message: Optional[MessageEnvelope] = None,
     *,
     m: int,
     kind: PayloadKind,
@@ -218,10 +217,7 @@ def ingest(
     any other.
     """
     by_sender: dict[int, object] = {}
-    messages = list(step_messages)
-    if self_message is not None:
-        messages.append(self_message)
-    for env in messages:
+    for env in step_messages:
         if not well_formed(env, m, kind):
             continue
         if signature_check is not None and not env.final and not signature_check(env):

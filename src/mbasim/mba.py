@@ -2,27 +2,27 @@
 
 Composes the two sub-protocols over the synchronous simulator: two graded
 consensus steps, a grade-to-bit map, the iterated binary agreement on which
-components deserve a real value, then output determination.  ``run_trial``
-drives one full seeded execution and returns a transcript record with the
-runtime monitor verdicts.
+components deserve a real value, then output determination.  A
+:class:`Node` runs that sequence for one node; ``run_trial`` steps the
+honest nodes through one full seeded execution and returns a transcript
+record with the runtime monitor verdicts.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
 from .core import (
     BOT,
-    PayloadKind,
+    Phase,
     ambiguous_components,
     encode_payload,
     is_value_vector,
 )
-from .crypto import KeyRegistry, common_string, digest
-from .mbba import MbbaPhase, MbbaState, grades_to_bits, signature_check
-from .mgc import MgcState
+from .crypto import KeyPair
+from .mbba import MbbaPhase, MbbaState, grades_to_bits
+from .mgc import MgcPhase, MgcState
 from .netsim import (
     Adversary,
     NetworkConfig,
@@ -93,22 +93,38 @@ class TrialRecord:
 _JSON_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.repr)
 
 
-def adversary_rng(seed: int) -> random.Random:
-    return random.Random(int.from_bytes(digest(seed.to_bytes(8, "big") + b"adversary"), "big"))
+class Node:
+    """One node's protocol run: MGC's two steps, the grade-to-bit handoff,
+    then MBBA until the node halts.
 
+    ``message`` is what the node sends this step, None once it has halted
+    (the network replays its final message instead).  ``advance(tally)``
+    steps it on the step's tally.
+    """
 
-def run_mgc(net: SyncNetwork, initial_vectors) -> dict:
-    """Graded consensus among the network's honest nodes: broadcast, relay
-    supermajorities, grade.  Returns each honest node's graded pairs."""
-    n, m = net.config.n, net.config.m
-    states = {i: MgcState(i, n, m, tuple(initial_vectors[i])) for i in net.honest_ids}
-    out1 = {i: st.step1_outgoing() for i, st in states.items()}
-    d1 = net.run_step(out1[net.honest_ids[0]].step_id, out1, PayloadKind.VALUES)
-    t1 = net.tallies(d1, PayloadKind.VALUES)
-    out2 = {i: st.step2_compute(t1[i]) for i, st in states.items()}
-    d2 = net.run_step(out2[net.honest_ids[0]].step_id, out2, PayloadKind.VALUES)
-    t2 = net.tallies(d2, PayloadKind.VALUES)
-    return {i: st.output_determination(t2[i]) for i, st in states.items()}
+    def __init__(self, node: int, n: int, m: int, initial, key: KeyPair, common: bytes):
+        self.mgc = MgcState(node, n, m, tuple(initial))
+        self.mbba: Optional[MbbaState] = None
+        self.key = key
+        self.common = common
+        self.message = self.mgc.step1_outgoing()
+
+    def advance(self, tally) -> Optional[list]:
+        """Step on this step's tally; returns the MBBA branch report, or
+        None during MGC."""
+        mbba = self.mbba
+        if mbba is not None:
+            branches = mbba.apply(tally)
+            self.message = mbba.outgoing()
+            return branches
+        mgc = self.mgc
+        if mgc.phase == MgcPhase.AWAIT_STEP1:
+            self.message = mgc.step2_compute(tally)
+            return None
+        bits = grades_to_bits(mgc.output_determination(tally))
+        self.mbba = mbba = MbbaState(mgc.node, mgc.n, mgc.m, self.key, self.common, bits)
+        self.message = mbba.outgoing()
+        return None
 
 
 def run_trial(
@@ -128,55 +144,46 @@ def run_trial(
         if not is_value_vector(tuple(initial_vectors[i]), m):
             raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
 
-    registry = KeyRegistry.from_seed(config.seed, n)
-    common = common_string(config.seed)
-    if adversary is None:
-        adversary = Adversary()
-    adversary.setup(config, registry, common, initial_vectors, adversary_rng(config.seed))
-    net = SyncNetwork(config, adversary, collect_steps=collect_steps)
+    net = SyncNetwork(config, adversary, initial_vectors, collect_steps=collect_steps)
+    nodes = {
+        i: Node(i, n, m, initial_vectors[i], net.registry.keypair(i), net.common) for i in honest
+    }
 
     violations: list[str] = []
-
-    pairs = run_mgc(net, initial_vectors)
-    mgc_values = {i: tuple(p.value for p in pairs[i]) for i in honest}
-
-    # Binary agreement on which components keep their graded value.
-    mbba_states = {
-        i: MbbaState(i, n, m, registry.keypair(i), common, grades_to_bits(pairs[i]))
-        for i in honest
-    }
     persistence = PersistenceTracker(m)
     mbba_steps = 0
     halt_step = None
     capped = False
 
-    while True:
-        active = {i: st for i, st in mbba_states.items() if st.phase != MbbaPhase.HALTED}
-        if not active:
-            break
-        phases = {st.phase for st in active.values()}
-        iterations = {st.iteration for st in active.values()}
-        if len(phases) != 1 or len(iterations) != 1:
-            raise SimulationError("honest nodes left lockstep")
-        lead = next(iter(active.values()))
-        if lead.iteration >= iteration_cap:
-            capped = True
-            break
-        sid = lead.step_id()
-        outgoing = {i: st.outgoing() for i, st in active.items()}
-        delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
-        tallies = net.tallies(delivery, PayloadKind.BITS, signature_check(registry, common, sid))
+    active = nodes
+    while active:
+        outgoing = {i: node.message for i, node in active.items()}
+        sid = next(iter(outgoing.values())).step_id
+        in_mbba = sid.phase == Phase.MBBA
+        if in_mbba:
+            for env in outgoing.values():
+                if env.step_id != sid:
+                    raise SimulationError("honest nodes left lockstep")
+            if sid.iteration >= iteration_cap:
+                capped = True
+                break
+        tallies = net.tallies(net.run_step(sid, outgoing))
+        branch_reports = {i: node.advance(tallies[i]) for i, node in active.items()}
+        if not in_mbba:
+            continue
 
-        branch_reports = {i: st.apply(tallies[i]) for i, st in active.items()}
-        finalized = newly_finalized(branch_reports, {i: st.flags for i, st in active.items()})
+        finalized = newly_finalized(
+            branch_reports, {i: node.mbba.flags for i, node in active.items()}
+        )
         mbba_steps += 1
 
-        for i, st in active.items():
-            if st.phase == MbbaPhase.HALTED:
-                net.register_final(st.final_envelope)
+        for node in active.values():
+            if node.message is None:
+                net.register_final(node.mbba.final_envelope)
                 halt_step = sid.label()
+        active = {i: node for i, node in active.items() if node.message is not None}
 
-        honest_bits = {i: tuple(st.bits) for i, st in mbba_states.items()}
+        honest_bits = {i: tuple(node.mbba.bits) for i, node in nodes.items()}
         step_violations = (
             fixation_violations(sid, finalized, honest_bits)
             + never_both_violations(sid, branch_reports, m)
@@ -186,6 +193,7 @@ def run_trial(
             violations.extend(step_violations)
             break
 
+    mbba_states = {i: node.mbba for i, node in nodes.items()}
     halted_all = all(st.phase == MbbaPhase.HALTED for st in mbba_states.values())
     if capped:
         violations.append(f"iteration cap {iteration_cap} exceeded")
@@ -193,7 +201,8 @@ def run_trial(
     outputs = []
     if halted_all:
         for i in honest:
-            out, violation = resolve_output(mgc_values[i], mbba_states[i].output)
+            values = tuple(p.value for p in nodes[i].mgc.output)
+            out, violation = resolve_output(values, mbba_states[i].output)
             if violation is not None:
                 violations.append(f"node {i}: {violation}")
             outputs.append(out)

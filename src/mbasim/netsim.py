@@ -27,9 +27,11 @@ tally.  Reusing envelope objects only saves their encoding.
 from __future__ import annotations
 
 import hashlib
+import random
 import struct
 from dataclasses import dataclass
 from operator import itemgetter
+from typing import Optional
 
 from .core import (
     MessageEnvelope,
@@ -41,7 +43,8 @@ from .core import (
     merge_tallies,
     well_formed,
 )
-from .mbba import Branch
+from .crypto import KeyRegistry, common_string, digest
+from .mbba import Branch, signature_check
 
 
 # phase, iteration, step, number of distinct inboxes
@@ -83,10 +86,6 @@ class NetworkConfig:
         """The adversary's node ids: the top t."""
         return list(range(self.n - self.t, self.n))
 
-    @property
-    def honest_ratio(self) -> float:
-        return (self.n - self.t) / self.n
-
 
 @dataclass
 class AdversaryView:
@@ -97,10 +96,13 @@ class AdversaryView:
     """
 
     step_id: StepId
-    kind: PayloadKind
     honest_envelopes: list
     honest_ids: list
     active_honest: list
+
+    @property
+    def kind(self) -> PayloadKind:
+        return self.step_id.kind
 
 
 class Adversary:
@@ -139,6 +141,11 @@ class Adversary:
 
     def end_step(self, view: "AdversaryView") -> None:
         pass
+
+
+def adversary_rng(seed: int) -> random.Random:
+    """The adversary's generator for a trial seed, independent of its keys."""
+    return random.Random(int.from_bytes(digest(seed.to_bytes(8, "big") + b"adversary"), "big"))
 
 
 def _check_sent(env, step_id: StepId, corrupt: frozenset) -> None:
@@ -214,10 +221,29 @@ def _restamp(env: MessageEnvelope, step_id: StepId) -> MessageEnvelope:
 
 
 class SyncNetwork:
-    """Round engine for a single trial."""
+    """Round engine for a single trial.
 
-    def __init__(self, config: NetworkConfig, adversary, collect_steps: bool = False):
+    It wires the trial from ``config.seed``: the nodes' keys (``registry``),
+    the common string (``common``) and the adversary, set up with its own
+    generator; None is the silent adversary.  ``initial_vectors`` are handed
+    to the adversary's ``setup``.
+    """
+
+    def __init__(
+        self,
+        config: NetworkConfig,
+        adversary: Optional[Adversary] = None,
+        initial_vectors=None,
+        collect_steps: bool = False,
+    ):
         self.config = config
+        self.registry = KeyRegistry.from_seed(config.seed, config.n)
+        self.common = common_string(config.seed)
+        if adversary is None:
+            adversary = Adversary()
+        adversary.setup(
+            config, self.registry, self.common, initial_vectors, adversary_rng(config.seed)
+        )
         self.adversary = adversary
         self.honest_ids = config.honest_ids
         self._corrupt = frozenset(config.corrupt_ids)
@@ -226,9 +252,6 @@ class SyncNetwork:
         self._halted_star: dict[int, MessageEnvelope] = {}
         # recipient -> {corrupt sender: the final it was handed first}
         self._adv_star: dict[int, dict] = {r: {} for r in self.honest_ids}
-        # id(replayed message) -> encode_payload of it; every key is a value
-        # of _halted_star or _adv_star, which keep it alive for the trial.
-        self._replay_payloads: dict[int, bytes] = {}
         self._log = hashlib.sha256()
 
     # -- finality bookkeeping -------------------------------------------------
@@ -239,7 +262,7 @@ class SyncNetwork:
 
     # -- the step ---------------------------------------------------------------
 
-    def run_step(self, step_id: StepId, honest_outgoing: dict, kind: PayloadKind) -> StepDelivery:
+    def run_step(self, step_id: StepId, honest_outgoing: dict) -> StepDelivery:
         shared = [honest_outgoing[i] for i in sorted(honest_outgoing)]
         # Encodings of the honest payloads, keyed by identity: nodes that
         # computed their message from one shared tally send one payload
@@ -260,7 +283,6 @@ class SyncNetwork:
 
         view = AdversaryView(
             step_id=step_id,
-            kind=kind,
             honest_envelopes=shared,
             honest_ids=self.honest_ids,
             active_honest=sorted(honest_outgoing),
@@ -307,16 +329,9 @@ class SyncNetwork:
         return delivery
 
     def _replay(self, star: MessageEnvelope, step_id: StepId) -> tuple:
-        """``star`` restamped for this step, with its encoding.
-
-        The payload encoding is cached per replayed message: a halted
-        sender's payload never changes, only the step it is stamped with.
-        """
+        """``star`` restamped for this step, with its encoding."""
         env = _restamp(star, step_id)
-        payload = self._replay_payloads.get(id(star))
-        if payload is None:
-            payload = self._replay_payloads[id(star)] = encode_payload(star.payload)
-        return env, encode_envelope(env, payload)
+        return env, encode_envelope(env)
 
     def _hash_step(self, delivery: StepDelivery) -> None:
         """Add what every honest recipient received to the step log (format v2).
@@ -345,19 +360,25 @@ class SyncNetwork:
 
     # -- tally plumbing -------------------------------------------------------
 
-    def tallies(self, delivery: StepDelivery, kind: PayloadKind, signature_check=None) -> dict:
+    def tallies(self, delivery: StepDelivery) -> dict:
         """Per-recipient tallies: one per distinct inbox, shared by its recipients.
 
-        The shared part is tallied once, and each non-empty adversary part
-        once more on top of it.  ``run_step`` groups recipients by the
-        encodings of their parts and rejects the adversary output on which
-        equal encodings could tally differently, so one tally per part is
-        the tally of each of its recipients.
+        The step id sets the rules: values in MGC, bits in MBBA, and in the
+        coin step a fresh message counts only with its sender's signature
+        (:func:`mbba.signature_check`).  The shared part is tallied once,
+        and each non-empty adversary part once more on top of it.
+        ``run_step`` groups recipients by the encodings of their parts and
+        rejects the adversary output on which equal encodings could tally
+        differently, so one tally per part is the tally of each of its
+        recipients.
         """
         m = self.config.m
-        base = ingest(delivery.shared, m=m, kind=kind, signature_check=signature_check)
+        sid = delivery.step_id
+        kind = sid.kind
+        check = signature_check(self.registry, self.common, sid)
+        base = ingest(delivery.shared, m=m, kind=kind, signature_check=check)
         by_part = [
-            merge_tallies(base, ingest(part, m=m, kind=kind, signature_check=signature_check))
+            merge_tallies(base, ingest(part, m=m, kind=kind, signature_check=check))
             if part
             else base
             for part in delivery.parts

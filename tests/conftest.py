@@ -3,19 +3,23 @@
 import pytest
 
 from mbasim.adversaries import make_adversary
-from mbasim.crypto import KeyRegistry, common_string
-from mbasim.mba import adversary_rng, run_mgc
-from mbasim.netsim import Adversary, NetworkConfig, SyncNetwork
+from mbasim.mba import Node
+from mbasim.netsim import NetworkConfig, SyncNetwork
 
 
-def run_mgc_phase(config: NetworkConfig, initial_vectors, adversary=None):
+def run_mgc_phase(config: NetworkConfig, initial_vectors, adversary=None) -> dict:
     """Drive only the graded-consensus steps; returns per-honest-node outputs."""
-    registry = KeyRegistry.from_seed(config.seed, config.n)
-    common = common_string(config.seed)
-    if adversary is None:
-        adversary = Adversary()
-    adversary.setup(config, registry, common, initial_vectors, adversary_rng(config.seed))
-    return run_mgc(SyncNetwork(config, adversary), initial_vectors)
+    net = SyncNetwork(config, adversary, initial_vectors)
+    nodes = {
+        i: Node(i, config.n, config.m, initial_vectors[i], net.registry.keypair(i), net.common)
+        for i in net.honest_ids
+    }
+    for _ in range(2):
+        outgoing = {i: node.message for i, node in nodes.items()}
+        tallies = net.tallies(net.run_step(outgoing[net.honest_ids[0]].step_id, outgoing))
+        for i, node in nodes.items():
+            node.advance(tallies[i])
+    return {i: node.mgc.output for i, node in nodes.items()}
 
 
 def build_adversary(name: str, params=()):

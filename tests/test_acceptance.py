@@ -313,15 +313,9 @@ def test_c8_tally_semantics():
                 saw["conflict"] += 1
         self_env = MessageEnvelope(0, sid, tuple(rng.choice(alphabet) for _ in range(m)))
         rng.shuffle(envelopes)
-        tally = ingest(
-            [e for e in envelopes if e.sender != 0],
-            self_message=self_env,
-            m=m,
-            kind=PayloadKind.VALUES,
-        )
-        admitted, counts = _recount_oracle(
-            [e for e in envelopes if e.sender != 0] + [self_env], m
-        )
+        inbox = [e for e in envelopes if e.sender != 0] + [self_env]
+        tally = ingest(inbox, m=m, kind=PayloadKind.VALUES)
+        admitted, counts = _recount_oracle(inbox, m)
         if tally.senders() != admitted or tally.counts != counts:
             failures.append(case)
         if 0 in admitted:

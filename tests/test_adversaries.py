@@ -14,11 +14,11 @@ from mbasim.adversaries import (
     _random_byte,
     make_adversary,
 )
-from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId, ingest
-from mbasim.crypto import KeyRegistry, common_string, signing_message
-from mbasim.mba import adversary_rng, run_trial
+from mbasim.core import BOT, BitTally, MessageEnvelope, PayloadKind, Phase, StepId, ingest
+from mbasim.crypto import signing_message
+from mbasim.mba import Node, run_trial
 from mbasim.mbba import signature_check
-from mbasim.netsim import AdversaryView, NetworkConfig
+from mbasim.netsim import AdversaryView, NetworkConfig, SyncNetwork
 from mbasim.scenarios import build_inputs, scenario_rng
 
 
@@ -39,13 +39,8 @@ class TestRegistry:
             make_adversary("omniscient")
 
     def test_crash_after_requires_initial_vectors(self):
-        from mbasim.crypto import KeyRegistry, common_string
-        from mbasim.mba import adversary_rng
-
-        adv = make_adversary("crash_after", (2,))
-        config = NetworkConfig(4, 1, 1, 0)
         with pytest.raises(ValueError):
-            adv.setup(config, KeyRegistry.from_seed(0, 4), common_string(0), None, adversary_rng(0))
+            SyncNetwork(NetworkConfig(4, 1, 1, 0), make_adversary("crash_after", (2,)))
 
 
 class TestCrashAfter:
@@ -76,6 +71,46 @@ class TestCrashAfter:
         assert crash.comm_steps_raw == honest.comm_steps_raw
         assert crash.step_log_hash == honest.step_log_hash
 
+    @pytest.mark.parametrize("n, m, scenario", [
+        pytest.param(n, m, s, id=f"n{n}-m{m}-{s[0]}{''.join(map(str, s[1]))}")
+        for n in (4, 7, 10)
+        for m in (1, 4, 16)
+        for s in (("split", ()), ("ambiguous", (1,)), ("ambiguous", (4,)))
+        if not s[1] or s[1][0] <= m
+    ])
+    def test_nodes_tally_what_honest_recipients_tally(self, n, m, scenario, monkeypatch):
+        corrupt = set(NetworkConfig(n, (n - 1) // 3, m, 0).corrupt_ids)
+        mine, theirs = {}, {}  # step id -> the crash nodes' tallies / net.tallies
+        real_advance, real_tallies = Node.advance, SyncNetwork.tallies
+
+        def advance(node, tally):
+            if node.mgc.node in corrupt:
+                mine.setdefault(node.message.step_id, []).append(tally)
+            return real_advance(node, tally)
+
+        def tallies(net, delivery):
+            result = theirs[delivery.step_id] = real_tallies(net, delivery)
+            return result
+
+        def votes(tally):
+            counts = (tally.zeros, tally.ones) if isinstance(tally, BitTally) else tally.counts
+            return tally.admitted, counts
+
+        monkeypatch.setattr(Node, "advance", advance)
+        monkeypatch.setattr(SyncNetwork, "tallies", tallies)
+        for seed in range(4):
+            mine.clear()
+            theirs.clear()
+            rec = run_with("crash_after", (10**6,), scenario, seed, n, (n - 1) // 3, m)
+            assert rec.halted and rec.agreement
+            # the crash nodes step on every step of the trial, all on one tally
+            assert list(mine) == list(theirs) and len(mine) == rec.comm_steps_raw
+            for sid, tallies_of_crash in mine.items():
+                assert len(tallies_of_crash) == len(corrupt)
+                for r, tally in theirs[sid].items():
+                    for own in tallies_of_crash:
+                        assert votes(own) == votes(tally), (seed, sid.label(), r)
+
     def test_mid_run_crash_keeps_agreement(self):
         for seed in range(10):
             rec = run_with("crash_after", (3,), seed=seed)
@@ -92,7 +127,6 @@ def build_view(config, step, bits_per_node, registry, common, iteration=0):
         envs.append(MessageEnvelope(i, sid, tuple(bits), signature=sig))
     return AdversaryView(
         step_id=sid,
-        kind=PayloadKind.BITS,
         honest_envelopes=envs,
         honest_ids=config.honest_ids,
         active_honest=sorted(bits_per_node),
@@ -102,10 +136,9 @@ def build_view(config, step, bits_per_node, registry, common, iteration=0):
 class TestSplitKeeper:
     def setup_method(self):
         self.config = NetworkConfig(7, 2, 1, 42, adversary="split_keeper")
-        self.registry = KeyRegistry.from_seed(42, 7)
-        self.common = common_string(42)
         self.adv = build_adversary("split_keeper")
-        self.adv.setup(self.config, self.registry, self.common, None, adversary_rng(42))
+        net = SyncNetwork(self.config, self.adv)
+        self.registry, self.common = net.registry, net.common
 
     def tallies(self, view, sends):
         out = {}
@@ -173,13 +206,11 @@ class TestSplitKeeper:
 
 class TestEquivocator:
     def test_half_and_half_messages(self):
-        config = NetworkConfig(4, 1, 2, 8, adversary="equivocator")
         adv = build_adversary("equivocator")
-        adv.setup(config, KeyRegistry.from_seed(8, 4), common_string(8), None, adversary_rng(8))
+        SyncNetwork(NetworkConfig(4, 1, 2, 8, adversary="equivocator"), adv)
         sid = StepId(Phase.MBBA, 0, 1)
         view = AdversaryView(
             step_id=sid,
-            kind=PayloadKind.BITS,
             honest_envelopes=[MessageEnvelope(i, sid, (0, 1)) for i in range(3)],
             honest_ids=[0, 1, 2],
             active_honest=[0, 1, 2],
@@ -203,12 +234,12 @@ class TestSharedEnvelopes:
 
     def setup_method(self):
         self.config = NetworkConfig(7, 2, 3, 42)
-        self.registry = KeyRegistry.from_seed(42, 7)
-        self.common = common_string(42)
+        net = SyncNetwork(self.config)
+        self.registry, self.common = net.registry, net.common
 
     def adversary(self, name):
         adv = build_adversary(name)
-        adv.setup(self.config, self.registry, self.common, None, adversary_rng(42))
+        SyncNetwork(self.config, adv)
         return adv
 
     def bits_view(self, step, iteration=0):
@@ -221,7 +252,6 @@ class TestSharedEnvelopes:
         envs = [MessageEnvelope(i, sid, (b"a" if i < 3 else b"b",) * 3) for i in range(5)]
         return AdversaryView(
             step_id=sid,
-            kind=PayloadKind.VALUES,
             honest_envelopes=envs,
             honest_ids=list(range(5)),
             active_honest=list(range(5)),
@@ -254,10 +284,10 @@ class TestSharedEnvelopes:
     def test_split_keeper_signs_once_per_coin_step(self, coin_split, monkeypatch):
         adv = self.adversary("split_keeper")
         view = self.coin_view(adv, coin_split)
-        real = self.registry.sign
+        real = adv.registry.sign
         signed = []
         monkeypatch.setattr(
-            self.registry, "sign", lambda z, message: signed.append(z) or real(z, message)
+            adv.registry, "sign", lambda z, message: signed.append(z) or real(z, message)
         )
         sends = adv.act(view)
         assert sorted(signed) == adv.corrupt_ids
@@ -410,15 +440,12 @@ _STEPS = st.one_of(
 )
 def test_act_matches_randrange_reference(n, m, seed, steps):
     config = NetworkConfig(n, (n - 1) // 3, m, seed)
-    registry, common = KeyRegistry.from_seed(seed, n), common_string(seed)
     ours, ref = RandomByzantineAdversary(), RandrangeByzantine()
     for adv in (ours, ref):
-        adv.setup(config, registry, common, None, adversary_rng(seed))
+        SyncNetwork(config, adv)
     for phase, iteration, step in steps:
-        kind = PayloadKind.VALUES if phase == Phase.MGC else PayloadKind.BITS
         view = AdversaryView(
             step_id=StepId(phase, iteration, step),
-            kind=kind,
             honest_envelopes=[],
             honest_ids=config.honest_ids,
             active_honest=config.honest_ids,

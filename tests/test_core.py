@@ -74,7 +74,7 @@ class TestIngest:
 
     def test_self_message_included(self):
         mine = bit_env(0, (1, 0))
-        tally = ingest([bit_env(1, (1, 1))], self_message=mine, m=2, kind=PayloadKind.BITS)
+        tally = ingest([bit_env(1, (1, 1)), mine], m=2, kind=PayloadKind.BITS)
         assert tally.count(1, 0) == 2
         assert tally.count(0, 1) == 1
         assert tally.senders() == {0, 1}

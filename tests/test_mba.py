@@ -2,11 +2,10 @@
 
 import pytest
 
-from conftest import build_adversary
+from conftest import build_adversary, run_mgc_phase
 from mbasim import mbba, netsim
 from mbasim.core import BOT, GradedPair, encode_envelope
-from mbasim.crypto import KeyRegistry, common_string
-from mbasim.mba import adversary_rng, grades_to_bits, resolve_output, run_mgc, run_trial
+from mbasim.mba import grades_to_bits, resolve_output, run_trial
 from mbasim.mbba import Branch, MbbaState
 from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
@@ -99,13 +98,17 @@ class TestRunTrial:
         with pytest.raises(ValueError):
             run_trial(NetworkConfig(4, 0, 2, seed=0), [(b"v", b"w")] * 3)
 
-    def test_iteration_cap_marks_trial_failed(self):
+    @pytest.mark.parametrize("cap", [0, 1, 2])
+    def test_iteration_cap_marks_trial_failed(self, cap):
+        # the cap counts MBBA iterations only: both MGC steps always run
         config = NetworkConfig(7, 2, 4, seed=4, adversary="split_keeper")
         inputs = build_inputs("ambiguous", (4,), config, scenario_rng(4))
-        rec = run_trial(config, inputs, build_adversary("split_keeper"), iteration_cap=1)
+        rec = run_trial(config, inputs, build_adversary("split_keeper"), iteration_cap=cap)
         assert not rec.halted
         assert any("iteration cap" in v for v in rec.monitor_violations)
         assert rec.failed
+        assert rec.comm_steps_raw == 2 + 3 * cap
+        assert rec.mbba_iterations == cap
 
     def test_seed_reproduces_step_log_hash(self):
         config = NetworkConfig(7, 2, 4, seed=6, adversary="split_keeper")
@@ -162,41 +165,29 @@ class TestPerTallyResults:
     """What a tally determines is computed once per tally object and shared
     by every node holding it."""
 
-    def network(self, name, params=(), n=7, t=2, m=4, seed=3, scenario=("ambiguous", (2,))):
-        config = NetworkConfig(n, t, m, seed)
-        inputs = build_inputs(*scenario, config, scenario_rng(seed))
-        adv = build_adversary(name, params)
-        adv.setup(config, KeyRegistry.from_seed(seed, n), common_string(seed), inputs,
-                  adversary_rng(seed))
-        return SyncNetwork(config, adv), inputs
-
     @staticmethod
-    def spy_steps(net, monkeypatch):
+    def spy_steps(monkeypatch):
         """Record each step's (delivery, tallies), in order."""
         steps = []
-        real_run_step, real_tallies = net.run_step, net.tallies
+        real_tallies = SyncNetwork.tallies
 
-        def run_step(*args, **kwargs):
-            delivery = real_run_step(*args, **kwargs)
-            steps.append([delivery])
-            return delivery
-
-        def tallies(*args, **kwargs):
-            result = real_tallies(*args, **kwargs)
-            steps[-1].append(result)
+        def tallies(net, delivery):
+            result = real_tallies(net, delivery)
+            steps.append((delivery, result))
             return result
 
-        monkeypatch.setattr(net, "run_step", run_step)
-        monkeypatch.setattr(net, "tallies", tallies)
+        monkeypatch.setattr(SyncNetwork, "tallies", tallies)
         return steps
 
     @pytest.mark.parametrize("name, params", [
         ("silent", ()), ("crash_after", (10**6,)), ("split_keeper", ()), ("equivocator", ()),
     ])
     def test_shared_tally_shares_relay_and_grades(self, name, params, monkeypatch):
-        net, inputs = self.network(name, params)
-        steps = self.spy_steps(net, monkeypatch)
-        graded = run_mgc(net, inputs)
+        config = NetworkConfig(7, 2, 4, 3)
+        inputs = build_inputs("ambiguous", (2,), config, scenario_rng(3))
+        adv = build_adversary(name, params)
+        steps = self.spy_steps(monkeypatch)
+        graded = run_mgc_phase(config, inputs, adv)
         (_, t1), (d2, t2) = steps
         relays = {e.sender: e.payload for e in d2.shared if e.sender in t1}
         for r in t1:
@@ -206,20 +197,20 @@ class TestPerTallyResults:
         assert len({id(p) for p in relays.values()}) == len({id(x) for x in t1.values()})
         if name == "crash_after":
             # the adversary's nodes share their own tally, relay and grades
-            mgc = net.adversary.mgc
-            first, *rest = mgc.values()
+            first, *rest = [node.mgc for node in adv.nodes]
             assert all(st.step2_vector is first.step2_vector for st in rest)
             assert all(st.output is first.output for st in rest)
             assert first.step2_vector == relays[0] and first.output == graded[0]
 
     @pytest.mark.parametrize("scenario", [("unanimous", ()), ("ambiguous", (2,))])
     def test_mgc_step_encodes_each_honest_payload_once(self, scenario, monkeypatch):
-        net, inputs = self.network("silent", scenario=scenario)
-        steps = self.spy_steps(net, monkeypatch)
+        config = NetworkConfig(7, 2, 4, 3)
+        inputs = build_inputs(*scenario, config, scenario_rng(3))
+        steps = self.spy_steps(monkeypatch)
         real = netsim.encode_payload
         calls = []
         monkeypatch.setattr(netsim, "encode_payload", lambda p: calls.append(p) or real(p))
-        run_mgc(net, inputs)
+        run_mgc_phase(config, inputs)
         encoded = 0
         for delivery, _ in steps:
             payloads = {id(e.payload): e.payload for e in delivery.shared}

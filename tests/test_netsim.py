@@ -21,8 +21,8 @@ from mbasim.core import (
     agreed_value,
     ingest,
 )
-from mbasim.crypto import KeyRegistry, common_string, signing_message
-from mbasim.mba import adversary_rng, run_trial
+from mbasim.crypto import signing_message
+from mbasim.mba import run_trial
 from mbasim.mbba import Branch, signature_check
 from mbasim.netsim import (
     Adversary,
@@ -59,9 +59,7 @@ class ScriptedAdversary(Adversary):
 
 def make_net(n=4, t=1, m=1, seed=0, adversary=None, **kw):
     config = NetworkConfig(n, t, m, seed)
-    adv = adversary or Adversary()
-    adv.setup(config, KeyRegistry.from_seed(seed, n), common_string(seed), None, adversary_rng(seed))
-    return config, SyncNetwork(config, adv, **kw)
+    return config, SyncNetwork(config, adversary, **kw)
 
 
 def inboxes(delivery):
@@ -73,7 +71,7 @@ def honest_bits_step(net, bits_per_node, sid=SID):
     out = {
         i: MessageEnvelope(i, sid, tuple(bits)) for i, bits in bits_per_node.items()
     }
-    return net.run_step(sid, out, PayloadKind.BITS)
+    return net.run_step(sid, out)
 
 
 class TestDelivery:
@@ -86,10 +84,7 @@ class TestDelivery:
             assert sorted(e.sender for e in inbox) == [0, 1, 2]
 
     def test_equivocator_splits_recipient_views(self):
-        config = NetworkConfig(4, 1, 1, 3)
-        adv = build_adversary("equivocator")
-        adv.setup(config, KeyRegistry.from_seed(3, 4), common_string(3), None, adversary_rng(3))
-        net = SyncNetwork(config, adv)
+        net = SyncNetwork(NetworkConfig(4, 1, 1, 3), build_adversary("equivocator"))
         delivery = honest_bits_step(net, {0: [0], 1: [0], 2: [1]})
         t0 = ingest(delivery.inbox(0), m=1, kind=PayloadKind.BITS)
         t1 = ingest(delivery.inbox(1), m=1, kind=PayloadKind.BITS)
@@ -103,9 +98,7 @@ class TestDelivery:
         for step in (2, 3):
             sid = StepId(Phase.MBBA, 0, step)
             delivery = net.run_step(
-                sid,
-                {0: MessageEnvelope(0, sid, (0,)), 1: MessageEnvelope(1, sid, (0,))},
-                PayloadKind.BITS,
+                sid, {0: MessageEnvelope(0, sid, (0,)), 1: MessageEnvelope(1, sid, (0,))}
             )
             for r in range(3):
                 replayed = [e for e in delivery.inbox(r) if e.sender == 2]
@@ -163,7 +156,7 @@ class TestDelivery:
         final = MessageEnvelope(3, SID, None, final=True)
         _, net = make_net(adversary=ScriptedAdversary([[final]]))
         delivery = honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
-        tallies = net.tallies(delivery, PayloadKind.BITS)
+        tallies = net.tallies(delivery)
         assert all(tally.senders() == {0, 1, 2} for tally in tallies.values())
 
     def test_adversary_final_binds_later_messages(self):
@@ -172,11 +165,7 @@ class TestDelivery:
         fresh = MessageEnvelope(3, sid2, (0,))
         _, net = make_net(adversary=ScriptedAdversary([{0: [lie]}, {0: [fresh], 1: [fresh]}]))
         honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
-        delivery = net.run_step(
-            sid2,
-            {i: MessageEnvelope(i, sid2, (0,)) for i in range(3)},
-            PayloadKind.BITS,
-        )
+        delivery = net.run_step(sid2, {i: MessageEnvelope(i, sid2, (0,)) for i in range(3)})
         # recipient 0 is bound by the finality marker: replay wins over fresh
         from_three = [e for e in delivery.inbox(0) if e.sender == 3]
         assert len(from_three) == 1 and from_three[0].final and from_three[0].payload == (1,)
@@ -191,7 +180,7 @@ class TestDelivery:
         delivery = honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
         for r in range(3):
             assert [e for e in delivery.inbox(r) if e.sender == 3] == [final]
-        assert all(t.count(1, 0) == 1 for t in net.tallies(delivery, PayloadKind.BITS).values())
+        assert all(t.count(1, 0) == 1 for t in net.tallies(delivery).values())
         delivery = honest_bits_step(net, {0: [0], 1: [0], 2: [0]}, sid2)
         for r in range(3):
             (replay,) = [e for e in delivery.inbox(r) if e.sender == 3]
@@ -284,7 +273,7 @@ class TestOutputShape:
             seen = []
             for sid in (SID, sid2):
                 delivery = honest_bits_step(net, honest, sid)
-                tallies = net.tallies(delivery, PayloadKind.BITS)
+                tallies = net.tallies(delivery)
                 seen.append(
                     [(delivery.inbox(r), tallies[r].zeros, tallies[r].ones, tallies[r].senders())
                      for r in range(5)]
@@ -416,22 +405,17 @@ class TestFastPathTallies:
     )
     def test_matches_direct_ingest(self, name, step, m):
         n, t, seed = 7, 2, 21
-        config = NetworkConfig(n, t, m, seed)
-        registry = KeyRegistry.from_seed(seed, n)
-        common = common_string(seed)
-        adv = build_adversary(name)
-        adv.setup(config, registry, common, None, adversary_rng(seed))
-        net = SyncNetwork(config, adv)
+        net = SyncNetwork(NetworkConfig(n, t, m, seed), build_adversary(name))
         sid = StepId(Phase.MBBA, 0, step)
-        message = signing_message(common, 0)
+        message = signing_message(net.common, 0)
         outgoing = {}
         for i in range(n - t):
             bits = tuple((i >> c) & 1 for c in range(m))
-            sig = registry.sign(i, message) if step == 3 else None
+            sig = net.registry.sign(i, message) if step == 3 else None
             outgoing[i] = MessageEnvelope(i, sid, bits, signature=sig)
-        delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
-        check = signature_check(registry, common, sid)
-        fast = net.tallies(delivery, PayloadKind.BITS, check)
+        delivery = net.run_step(sid, outgoing)
+        check = signature_check(net.registry, net.common, sid)
+        fast = net.tallies(delivery)
         for r in range(n - t):
             direct = ingest(delivery.inbox(r), m=m, kind=PayloadKind.BITS, signature_check=check)
             assert (fast[r].zeros, fast[r].ones) == (direct.zeros, direct.ones), (name, step, r)
@@ -446,7 +430,7 @@ class TestSharedTallies:
         other = [MessageEnvelope(3, SID, (0, 0))]
         _, net = make_net(m=2, adversary=ScriptedAdversary([{0: envs, 1: envs, 2: other}]))
         delivery = honest_bits_step(net, {0: [0, 1], 1: [0, 1], 2: [0, 1]})
-        tallies = net.tallies(delivery, PayloadKind.BITS)
+        tallies = net.tallies(delivery)
         assert tallies[0] is tallies[1]
         assert tallies[2] is not tallies[0]
         assert (tallies[0].ones, tallies[2].ones) == ([1, 3], [0, 3])
@@ -458,7 +442,7 @@ class TestSharedTallies:
         assert bits == floats
         _, net = make_net(m=2, adversary=ScriptedAdversary([{0: [bits], 1: [floats]}]))
         delivery = honest_bits_step(net, {0: [0, 1], 1: [0, 1], 2: [0, 1]})
-        tallies = net.tallies(delivery, PayloadKind.BITS)
+        tallies = net.tallies(delivery)
         assert tallies[0] is not tallies[1]
         assert tallies[0].senders() == {0, 1, 2, 3}
         assert tallies[1].senders() == {0, 1, 2}
@@ -478,7 +462,7 @@ class TestSharedTallies:
         for plan in plans:
             _, net = make_net(m=2, adversary=ScriptedAdversary([plan]))
             delivery = honest_bits_step(net, {0: [0, 1], 1: [0, 1], 2: [0, 1]})
-            tallies = net.tallies(delivery, PayloadKind.BITS)
+            tallies = net.tallies(delivery)
             assert delivery.part_of == {0: 0, 1: 0, 2: 1}
             assert tallies[0] is tallies[1] is not tallies[2]
             assert (tallies[0].ones, tallies[2].ones) == ([1, 3], [0, 3])
@@ -488,21 +472,17 @@ class TestSharedTallies:
     @pytest.mark.parametrize("name", ["split_keeper", "equivocator"])
     def test_one_ingest_per_distinct_extras(self, name, monkeypatch):
         n, t, m, seed = 7, 2, 4, 9
-        config = NetworkConfig(n, t, m, seed)
-        adv = build_adversary(name)
-        adv.setup(config, KeyRegistry.from_seed(seed, n), common_string(seed), None,
-                  adversary_rng(seed))
-        net = SyncNetwork(config, adv)
+        net = SyncNetwork(NetworkConfig(n, t, m, seed), build_adversary(name))
         sid = StepId(Phase.MBBA, 0, 1)
         # 3 ones and 2 zeros at every component: split_keeper pushes some recipients
         outgoing = {i: MessageEnvelope(i, sid, (int(i < 3),) * m) for i in range(n - t)}
-        delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
+        delivery = net.run_step(sid, outgoing)
         real = netsim.ingest
         calls = []
         monkeypatch.setattr(
             netsim, "ingest", lambda envs, **kw: calls.append(envs) or real(envs, **kw)
         )
-        tallies = net.tallies(delivery, PayloadKind.BITS)
+        tallies = net.tallies(delivery)
         distinct = {tuple(map(id, envs)) for envs in delivery.extras.values()}
         assert 1 < len(distinct) < len(delivery.extras) == n - t, name
         assert len(calls) == 1 + len(distinct)
@@ -515,11 +495,8 @@ class TestEncodeOnce:
     @pytest.mark.parametrize("name", ["split_keeper", "random_byzantine"])
     def test_each_delivered_envelope_encoded_at_most_once(self, name, monkeypatch):
         n, t, m, seed = 7, 2, 4, 5
-        config = NetworkConfig(n, t, m, seed)
         adv = build_adversary(name)
-        adv.setup(config, KeyRegistry.from_seed(seed, n), common_string(seed), None,
-                  adversary_rng(seed))
-        net = SyncNetwork(config, adv)
+        net = SyncNetwork(NetworkConfig(n, t, m, seed), adv)
         sid = StepId(Phase.MBBA, 0, 1)
         net.register_final(MessageEnvelope(0, sid, (1,) * m, final=True))  # node 0 halted
         outgoing = {
@@ -533,7 +510,7 @@ class TestEncodeOnce:
         monkeypatch.setattr(
             netsim, "encode_envelope", lambda env, *args: calls.append(env) or real(env, *args)
         )
-        delivery = net.run_step(sid, outgoing, PayloadKind.BITS)
+        delivery = net.run_step(sid, outgoing)
         (sends,) = sent
         assert delivery.extras, name
         # The adversary's envelopes are encoded once per distinct object
@@ -546,22 +523,15 @@ class TestEncodeOnce:
             part = delivery.parts_encoded[delivery.part_of[r]]
             assert list(part) == sorted(map(real, sends.get(r, ()))), (name, r)
 
-    def test_replayed_payload_encoded_once(self, monkeypatch):
+    def test_replay_encoded_for_its_step(self):
         _, net = make_net(n=4, t=1, m=2)
-        star = MessageEnvelope(0, SID, (1, 0), final=True)
-        net.register_final(star)
-        real = netsim.encode_payload
-        calls = []
-        monkeypatch.setattr(netsim, "encode_payload", lambda p: calls.append(p) or real(p))
+        net.register_final(MessageEnvelope(0, SID, (1, 0), final=True))
         for iteration in range(3):
             sid = StepId(Phase.MBBA, iteration, 1)
             delivery = honest_bits_step(net, {1: [0, 1], 2: [0, 1]}, sid)
             replay = delivery.shared[-1]
             assert (replay.sender, replay.step_id, replay.final) == (0, sid, True)
             assert delivery.shared_encoded[-1] == netsim.encode_envelope(replay)
-        # Honest payloads are encoded through the same function; count only
-        # the replayed one.
-        assert [p for p in calls if p is star.payload] == [(1, 0)]
 
 
 class TestMonitors:
