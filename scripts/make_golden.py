@@ -18,9 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from mbasim import NetworkConfig, run_trial
-from mbasim.adversaries import make_adversary
-from mbasim.scenarios import build_inputs, parse_call, scenario_rng
+from mbasim.cli import ExperimentConfig, run_campaign
 
 TABLE = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_hashes.json"
 ADVERSARIES = ("silent", "crash_after(3)", "equivocator", "split_keeper", "random_byzantine")
@@ -40,22 +38,25 @@ def cells():
     yield 4, 0, 4, "silent", "four-node-example"
 
 
-def fingerprint(n, t, m, adversary, scenario, seed) -> dict:
-    """One trial built the way ``mba-sim`` builds trial ``seed`` of a campaign."""
-    adv_name, adv_params = parse_call(adversary)
-    scen_name, scen_params = parse_call(scenario)
-    config = NetworkConfig(n, t, m, seed, adversary=adv_name, adversary_params=adv_params)
-    inputs = build_inputs(scen_name, scen_params, config, scenario_rng(seed))
-    record = run_trial(config, inputs, make_adversary(adv_name, adv_params))
-    return {
-        **dict(zip(KEYS, (n, t, m, adversary, scenario, seed))),
-        "step_log_hash": record.step_log_hash,
-        "output_vector_hex": record.output_vector_hex,
-    }
+def fingerprints(n, t, m, adversary, scenario) -> list:
+    """The cell's rows: trials ``SEEDS`` of its ``mba-sim`` campaign from seed 0."""
+    config = ExperimentConfig(
+        nodes=n, byzantine=t, components=m, adversary=adversary, scenario=scenario,
+        trials=len(SEEDS), seed=SEEDS[0],
+    )
+    records, _, _ = run_campaign(config)
+    return [
+        {
+            **dict(zip(KEYS, (n, t, m, adversary, scenario, record.seed))),
+            "step_log_hash": record.step_log_hash,
+            "output_vector_hex": record.output_vector_hex,
+        }
+        for record in records
+    ]
 
 
 def generate() -> list:
-    return [fingerprint(*cell, seed) for cell in cells() for seed in SEEDS]
+    return [row for cell in cells() for row in fingerprints(*cell)]
 
 
 def dump(rows: list) -> str:

@@ -6,9 +6,7 @@ import argparse
 import itertools
 import time
 
-from mbasim import NetworkConfig, run_trial
-from mbasim.adversaries import make_adversary
-from mbasim.scenarios import build_inputs, parse_call, scenario_rng
+from mbasim.cli import ExperimentConfig, run_campaign
 
 ADVERSARIES = ["silent", "crash_after(3)", "equivocator", "split_keeper", "random_byzantine"]
 
@@ -27,22 +25,18 @@ def main() -> None:
         args.sizes, args.components, ADVERSARIES, args.scenarios
     ):
         t = (n - 1) // 3
-        adv_name, adv_params = parse_call(adv_text)
-        scen_name, scen_params = parse_call(scenario)
-        bad = 0
-        iters = []
-        for seed in range(args.trials):
-            config = NetworkConfig(n, t, m, seed, adversary=adv_name)
-            inputs = build_inputs(scen_name, scen_params, config, scenario_rng(seed))
-            rec = run_trial(config, inputs, make_adversary(adv_name, adv_params))
-            if rec.failed or rec.consistency is False:
-                bad += 1
-            iters.append(rec.mbba_iterations)
+        config = ExperimentConfig(
+            nodes=n, byzantine=t, components=m, adversary=adv_text, scenario=scenario,
+            trials=args.trials, seed=0,
+        )
+        records, _, _ = run_campaign(config)
+        bad = sum(1 for rec in records if rec.failed or rec.consistency is False)
         ok = bad == 0
         all_ok = all_ok and ok
         print(
-            f"n={n:2d} t={t} m={m:2d} {adv_name:16s} {scenario:12s}"
-            f" max_iters={max(iters):3d} {'ok' if ok else f'FAILURES={bad}'}"
+            f"n={n:2d} t={t} m={m:2d} {records[0].adversary:16s} {scenario:12s}"
+            f" max_iters={max(rec.mbba_iterations for rec in records):3d}"
+            f" {'ok' if ok else f'FAILURES={bad}'}"
         )
     print(f"\n{'all cells ok' if all_ok else 'FAILURES PRESENT'}"
           f" ({time.perf_counter() - started:.1f}s)")

@@ -29,19 +29,14 @@ from .core import (
     BOT,
     MessageEnvelope,
     PayloadKind,
-    Phase,
     ingest,
     two_thirds_majority,
 )
-from .crypto import digest, signing_message
+from .crypto import digest
 from .mba import Node
 from .mbba import signature_check
 from .mgc import _best_candidate
 from .netsim import Adversary, AdversaryView, _restamp
-
-
-class SilentAdversary(Adversary):
-    name = "silent"
 
 
 def _honest_payloads(view: AdversaryView) -> list:
@@ -64,10 +59,7 @@ class EquivocatorAdversary(Adversary):
             if first == last:
                 last = tuple(b"\xee" for _ in range(m))
             variants = [first, last]
-        sigs = dict.fromkeys(self.corrupt_ids)
-        if view.step_id.step == 3 and view.step_id.phase == Phase.MBBA:
-            message = signing_message(self.common, view.step_id.iteration)
-            sigs = {z: self.registry.sign(z, message) for z in self.corrupt_ids}
+        sigs = self.signatures(view.step_id)
         stories = [
             [MessageEnvelope(z, view.step_id, p, signature=sigs[z]) for z in self.corrupt_ids]
             for p in variants
@@ -166,11 +158,8 @@ class RandomByzantineAdversary(Adversary):
         m = self.config.m
         sid = view.step_id
         bits = view.kind == PayloadKind.BITS
-        step3 = sid.phase == Phase.MBBA and sid.step == 3
-        sigs = dict.fromkeys(self.corrupt_ids)
-        if step3:
-            message = signing_message(self.common, sid.iteration)
-            sigs = {z: self.registry.sign(z, message) for z in self.corrupt_ids}
+        coin = sid.coin
+        sigs = self.signatures(sid)
         sends: dict[int, list] = {}
         for r in view.honest_ids:
             envs = []
@@ -187,7 +176,7 @@ class RandomByzantineAdversary(Adversary):
                         [BOT if random() < 0.2 else _random_byte(rng) for _ in range(length)]
                     )
                 sig = None
-                if step3:
+                if coin:
                     sig_roll = random()
                     if sig_roll < 0.75:
                         sig = sigs[z]
@@ -280,18 +269,15 @@ class SplitKeeperAdversary(Adversary):
     def _act_bits(self, view: AdversaryView):
         thr, flo, t = self._sizes()
         m = self.config.m
-        step = view.step_id.step
+        sid = view.step_id
+        step = sid.step
         tally = ingest(view.honest_envelopes, m=m, kind=PayloadKind.BITS)
         zeros, ones = tally.zeros, tally.ones
         active = view.active_honest
         act = len(active)
 
-        split_sigs = None
-        signatures: dict[int, bytes] = {}
-        if step == 3:
-            message = signing_message(self.common, view.step_id.iteration)
-            signatures = {z: self.registry.sign(z, message) for z in self.corrupt_ids}
-            split_sigs = self._coin_split(view, signatures)
+        signatures = self.signatures(sid)
+        split_sigs = self._coin_split(view, signatures) if sid.coin else None
 
         push_bit = [-1] * m      # -1: no push at this component
         push_set: list = [frozenset()] * m
@@ -337,7 +323,7 @@ class SplitKeeperAdversary(Adversary):
             if envs is None:
                 envs = stories[pushed, shown] = []
                 for idx, z in enumerate(self.corrupt_ids):
-                    if step == 3 and z in withheld and not shown:
+                    if z in withheld and not shown:
                         continue
                     payload = tuple(
                         push_bit[c] if pushed[c] else (0 if idx < filler_zero_votes[c] else 1)
@@ -346,7 +332,7 @@ class SplitKeeperAdversary(Adversary):
                     env = made.get((idx, payload))
                     if env is None:
                         env = made[idx, payload] = MessageEnvelope(
-                            z, view.step_id, payload, signature=signatures.get(z)
+                            z, sid, payload, signature=signatures[z]
                         )
                     envs.append(env)
             if envs:
@@ -387,7 +373,7 @@ class SplitKeeperAdversary(Adversary):
 STRATEGIES = {
     cls.name: cls
     for cls in (
-        SilentAdversary,
+        Adversary,
         CrashAfterAdversary,
         EquivocatorAdversary,
         SplitKeeperAdversary,

@@ -49,22 +49,10 @@ def coin_game_ccdf(num_coins: int, heads_prob: float, w: int) -> float:
 
 
 def coin_game_pmf(num_coins: int, heads_prob: float, w: int) -> float:
-    """P(the game takes exactly w steps), w >= 1.
-
-    The closed form (1-(1-p)^w)^n - (1-(1-p)^{w-1})^n, evaluated through the
-    same expm1 terms as the ccdf so the telescoping identity holds to the ulp.
-    """
-    _validate(num_coins, heads_prob)
+    """P(the game takes exactly w steps), w >= 1: ccdf(w-1) - ccdf(w)."""
     if w < 1:
         raise ValueError("w must be >= 1")
-    if num_coins == 0:
-        return 0.0
-    if heads_prob == 1.0:
-        return 1.0 if w == 1 else 0.0
-    log_miss = math.log1p(-heads_prob)
-    q_now = math.exp(w * log_miss)
-    q_prev = math.exp((w - 1) * log_miss)
-    return _finished_mass_m1(num_coins, q_now) - _finished_mass_m1(num_coins, q_prev)
+    return coin_game_ccdf(num_coins, heads_prob, w - 1) - coin_game_ccdf(num_coins, heads_prob, w)
 
 
 @dataclass(frozen=True)
@@ -115,23 +103,22 @@ def coin_game_oracle(num_coins: int, heads_prob: float, seed) -> int:
 
 @dataclass
 class EmpiricalHistogram:
-    """Iteration-count histogram over a batch of runs, plus config echo."""
+    """Iteration-count histogram over a batch of runs."""
 
     counts: dict = field(default_factory=dict)
     total: int = 0
-    config: dict = field(default_factory=dict)
     max_comm_by_iter: dict = field(default_factory=dict)
 
     @classmethod
-    def from_records(cls, records, config: Optional[dict] = None) -> "EmpiricalHistogram":
-        hist = cls(config=dict(config or {}))
+    def from_records(cls, records) -> "EmpiricalHistogram":
+        hist = cls()
         for rec in records:
             hist.add(rec.mbba_iterations, rec.comm_steps_with_barrier)
         return hist
 
     @classmethod
-    def from_samples(cls, samples: Iterable[int], config: Optional[dict] = None) -> "EmpiricalHistogram":
-        hist = cls(config=dict(config or {}))
+    def from_samples(cls, samples: Iterable[int]) -> "EmpiricalHistogram":
+        hist = cls()
         for s in samples:
             hist.add(s, None)
         return hist

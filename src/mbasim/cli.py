@@ -118,16 +118,7 @@ def run_campaign(config: ExperimentConfig, record_sink=None):
 
 
 def summarize(config: ExperimentConfig, records) -> dict:
-    hist = EmpiricalHistogram.from_records(
-        records,
-        config={
-            "n": config.nodes,
-            "t": config.byzantine,
-            "m": config.components,
-            "adversary": config.adversary,
-            "scenario": config.scenario,
-        },
-    )
+    hist = EmpiricalHistogram.from_records(records)
     ambiguous = max((r.ambiguous for r in records), default=0)
     honest_ratio = (config.nodes - config.byzantine) / config.nodes
     report = bound_check(hist, ambiguous, honest_ratio)

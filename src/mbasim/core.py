@@ -24,8 +24,6 @@ from typing import Callable, Iterable, NamedTuple, Optional
 BOT = None
 
 Value = Optional[bytes]
-ValueVector = "tuple[Value, ...]"
-BitVector = "tuple[int, ...]"
 
 
 class Phase(IntEnum):
@@ -58,6 +56,12 @@ class StepId(NamedTuple):
     def kind(self) -> PayloadKind:
         """What the step's messages carry: values in MGC, bits in MBBA."""
         return PayloadKind.VALUES if self.phase == Phase.MGC else PayloadKind.BITS
+
+    @property
+    def coin(self) -> bool:
+        """Whether this is a Coin-Genuinely-Flipped step (MBBA step 3), whose
+        fresh messages carry the sender's signature."""
+        return self.step == 3 and self.phase == Phase.MBBA
 
 
 @dataclass(frozen=True, slots=True)

@@ -45,7 +45,7 @@ class KeyRegistry:
     """
 
     def __init__(self, secrets: dict[int, bytes]):
-        self._secrets = dict(secrets)
+        self._keys = {node: KeyPair(node, secret) for node, secret in secrets.items()}
 
     @classmethod
     def from_seed(cls, seed: int, n: int) -> "KeyRegistry":
@@ -53,15 +53,16 @@ class KeyRegistry:
         return cls({i: digest(base + b"node-secret" + i.to_bytes(4, "big")) for i in range(n)})
 
     def keypair(self, node: int) -> KeyPair:
-        return KeyPair(node, self._secrets[node])
+        return self._keys[node]
 
     def sign(self, node: int, message: bytes) -> bytes:
-        return digest(self._secrets[node] + message)
+        return self._keys[node].sign(message)
 
     def verify(self, node: int, message: bytes, signature) -> bool:
-        if not isinstance(signature, bytes) or node not in self._secrets:
+        key = self._keys.get(node)
+        if key is None or not isinstance(signature, bytes):
             return False
-        return hmac.compare_digest(self.sign(node, message), signature)
+        return hmac.compare_digest(key.sign(message), signature)
 
 
 def common_string(seed: int) -> bytes:

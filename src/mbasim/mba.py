@@ -27,7 +27,6 @@ from .netsim import (
     Adversary,
     NetworkConfig,
     PersistenceTracker,
-    SimulationError,
     SyncNetwork,
     fixation_violations,
     never_both_violations,
@@ -160,13 +159,9 @@ def run_trial(
         outgoing = {i: node.message for i, node in active.items()}
         sid = next(iter(outgoing.values())).step_id
         in_mbba = sid.phase == Phase.MBBA
-        if in_mbba:
-            for env in outgoing.values():
-                if env.step_id != sid:
-                    raise SimulationError("honest nodes left lockstep")
-            if sid.iteration >= iteration_cap:
-                capped = True
-                break
+        if in_mbba and sid.iteration >= iteration_cap:
+            capped = True
+            break
         tallies = net.tallies(net.run_step(sid, outgoing))
         branch_reports = {i: node.advance(tallies[i]) for i, node in active.items()}
         if not in_mbba:

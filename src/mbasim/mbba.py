@@ -57,7 +57,7 @@ def signature_check(registry, common: bytes, step_id: StepId):
     """The tally's admission check for ``step_id``: in the coin step a fresh
     message must carry the sender's signature of the iteration's signing
     message; the other steps check nothing (None)."""
-    if step_id.step != MbbaPhase.STEP3.value:
+    if not step_id.coin:
         return None
     message = signing_message(common, step_id.iteration)
     return lambda env: registry.verify(env.sender, message, env.signature)
@@ -102,11 +102,9 @@ class MbbaState:
         final message instead)."""
         if self.phase == MbbaPhase.HALTED:
             return None
-        payload = tuple(self.bits)
-        if self.phase == MbbaPhase.STEP3:
-            sig = self.key.sign(signing_message(self.common, self.iteration))
-            return MessageEnvelope(self.node, self.step_id(), payload, signature=sig)
-        return MessageEnvelope(self.node, self.step_id(), payload)
+        sid = self.step_id()
+        sig = self.key.sign(signing_message(self.common, sid.iteration)) if sid.coin else None
+        return MessageEnvelope(self.node, sid, tuple(self.bits), signature=sig)
 
     # -- state transitions ---------------------------------------------------
 

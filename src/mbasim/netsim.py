@@ -43,7 +43,7 @@ from .core import (
     merge_tallies,
     well_formed,
 )
-from .crypto import KeyRegistry, common_string, digest
+from .crypto import KeyRegistry, common_string, digest, signing_message
 from .mbba import Branch, signature_check
 
 
@@ -121,8 +121,9 @@ class Adversary:
     The payload may be anything: malformed payloads are dropped when
     tallied.  The engine encodes each envelope object once per step, so
     handing recipients that hear the same thing the same objects saves
-    encoding.  ``end_step`` runs after delivery, letting stateful strategies
-    advance internal bookkeeping.
+    encoding.  Strategies sign through :meth:`signatures`.  ``end_step``
+    runs after delivery, letting stateful strategies advance internal
+    bookkeeping.
     """
 
     name = "silent"
@@ -133,8 +134,16 @@ class Adversary:
         self.common = common
         self.rng = rng
         self.corrupt_ids = config.corrupt_ids
-        self.honest_ids = config.honest_ids
-        self.initial_vectors = initial_vectors
+
+    def signatures(self, step_id: StepId) -> dict:
+        """Each corrupt node's signature for a message of ``step_id``: of the
+        iteration's signing message in the coin step, None in every other
+        step.  Draws nothing from ``rng``."""
+        if not step_id.coin:
+            return dict.fromkeys(self.corrupt_ids)
+        message = signing_message(self.common, step_id.iteration)
+        keypair = self.registry.keypair
+        return {z: keypair(z).sign(message) for z in self.corrupt_ids}
 
     def act(self, view: "AdversaryView"):
         return []

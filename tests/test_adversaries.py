@@ -15,10 +15,10 @@ from mbasim.adversaries import (
     make_adversary,
 )
 from mbasim.core import BOT, BitTally, MessageEnvelope, PayloadKind, Phase, StepId, ingest
-from mbasim.crypto import signing_message
+from mbasim.crypto import KeyPair, signing_message
 from mbasim.mba import Node, run_trial
 from mbasim.mbba import signature_check
-from mbasim.netsim import AdversaryView, NetworkConfig, SyncNetwork
+from mbasim.netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
 from mbasim.scenarios import build_inputs, scenario_rng
 
 
@@ -41,6 +41,32 @@ class TestRegistry:
     def test_crash_after_requires_initial_vectors(self):
         with pytest.raises(ValueError):
             SyncNetwork(NetworkConfig(4, 1, 1, 0), make_adversary("crash_after", (2,)))
+
+
+class TestSignatures:
+    def setup_method(self):
+        self.config = NetworkConfig(7, 2, 3, 42)
+        self.adv = Adversary()
+        self.net = SyncNetwork(self.config, self.adv)
+
+    @pytest.mark.parametrize("sid", [
+        StepId(Phase.MGC, 0, 1), StepId(Phase.MGC, 0, 2),
+        StepId(Phase.MBBA, 2, 1), StepId(Phase.MBBA, 2, 2),
+    ], ids=StepId.label)
+    def test_none_off_the_coin_step(self, sid):
+        assert self.adv.signatures(sid) == dict.fromkeys(self.config.corrupt_ids)
+
+    def test_one_verified_signature_per_corrupt_node_in_the_coin_step(self):
+        sid = StepId(Phase.MBBA, 2, 3)
+        state = self.adv.rng.getstate()
+        sigs = self.adv.signatures(sid)
+        assert self.adv.rng.getstate() == state  # draws nothing
+        assert list(sigs) == self.config.corrupt_ids
+        message = signing_message(self.net.common, 2)
+        check = signature_check(self.net.registry, self.net.common, sid)
+        for z, sig in sigs.items():
+            assert self.net.registry.verify(z, message, sig)
+            assert check(MessageEnvelope(z, sid, (0, 0, 0), signature=sig))
 
 
 class TestCrashAfter:
@@ -269,8 +295,7 @@ class TestSharedEnvelopes:
         """A coin-step view on which split_keeper does (or does not) split the coin."""
         for iteration in range(60):
             view = self.bits_view(3, iteration)
-            message = signing_message(self.common, iteration)
-            signatures = {z: self.registry.sign(z, message) for z in adv.corrupt_ids}
+            signatures = adv.signatures(view.step_id)
             if (adv._coin_split(view, signatures) is not None) == coin_split:
                 return view
         raise AssertionError("no such iteration")
@@ -284,16 +309,16 @@ class TestSharedEnvelopes:
     def test_split_keeper_signs_once_per_coin_step(self, coin_split, monkeypatch):
         adv = self.adversary("split_keeper")
         view = self.coin_view(adv, coin_split)
-        real = adv.registry.sign
+        real = KeyPair.sign
         signed = []
         monkeypatch.setattr(
-            adv.registry, "sign", lambda z, message: signed.append(z) or real(z, message)
+            KeyPair, "sign", lambda key, message: signed.append(key.node) or real(key, message)
         )
         sends = adv.act(view)
         assert sorted(signed) == adv.corrupt_ids
         message = signing_message(self.common, view.step_id.iteration)
         for env in (e for envs in sends.values() for e in envs):
-            assert env.signature == real(env.sender, message)
+            assert env.signature == real(self.registry.keypair(env.sender), message)
 
     def test_equivocator(self):
         adv = self.adversary("equivocator")

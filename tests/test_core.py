@@ -39,6 +39,14 @@ def val_env(sender, values, sid=VSID):
     return MessageEnvelope(sender, sid, tuple(values))
 
 
+@pytest.mark.parametrize("phase", list(Phase))
+@pytest.mark.parametrize("iteration", [0, 1, 7])
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_coin_step_is_mbba_step_3(phase, iteration, step):
+    sid = StepId(phase, iteration, step)
+    assert sid.coin == (sid.label() == f"mbba:{iteration}:3")
+
+
 class TestThresholds:
     def test_two_thirds_is_strict_majority(self):
         # count > 2n/3 <=> count >= floor(2n/3) + 1 over integers

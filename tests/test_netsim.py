@@ -112,6 +112,13 @@ class TestDelivery:
         with pytest.raises(SpoofingError):
             honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
 
+    def test_honest_envelope_from_another_step_rejected(self):
+        _, net = make_net()
+        later = StepId(Phase.MBBA, 0, 2)
+        out = {0: MessageEnvelope(0, SID, (0,)), 1: MessageEnvelope(1, later, (0,))}
+        with pytest.raises(SimulationError, match="honest envelope from another step"):
+            net.run_step(SID, out)
+
     def test_stale_step_id_rejected(self):
         stale = MessageEnvelope(3, StepId(Phase.MBBA, 4, 1), (1,))
         _, net = make_net(adversary=ScriptedAdversary([[stale]]))
