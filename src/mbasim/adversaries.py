@@ -25,22 +25,12 @@ run.  Available strategies:
 
 from __future__ import annotations
 
-from .core import (
-    BOT,
-    MessageEnvelope,
-    PayloadKind,
-    ingest,
-    two_thirds_majority,
-)
+from .core import BOT, MessageEnvelope, PayloadKind, ingest, two_thirds_majority
 from .crypto import digest
-from .mba import Node
+from .mba import Node, step_classes
 from .mbba import signature_check
 from .mgc import _best_candidate
 from .netsim import Adversary, AdversaryView, _restamp
-
-
-def _honest_payloads(view: AdversaryView) -> list:
-    return [env.payload for env in view.honest_envelopes]
 
 
 class EquivocatorAdversary(Adversary):
@@ -53,7 +43,7 @@ class EquivocatorAdversary(Adversary):
         if view.kind == PayloadKind.BITS:
             variants = [(0,) * m, (1,) * m]
         else:
-            payloads = _honest_payloads(view)
+            payloads = [env.payload for env in view.honest_envelopes]
             first = payloads[0] if payloads else (BOT,) * m
             last = payloads[-1] if payloads else (b"\x00",) * m
             if first == last:
@@ -68,7 +58,8 @@ class EquivocatorAdversary(Adversary):
 
 
 class CrashAfterAdversary(Adversary):
-    """Runs the honest protocol on its own nodes for k message steps, then crashes."""
+    """Runs the honest protocol on its own nodes for k message steps, then
+    crashes.  Its nodes tally one inbox, so they step as one class."""
 
     name = "crash_after"
 
@@ -81,42 +72,36 @@ class CrashAfterAdversary(Adversary):
             raise ValueError("crash_after runs the honest protocol and needs initial vectors")
         self.steps_sent = 0
         self.nodes = [
-            Node(z, config.n, config.m, initial_vectors[z], registry.keypair(z), common)
+            Node([z], config.n, config.m, initial_vectors[z], registry, common)
             for z in self.corrupt_ids
         ]
-        self.last_sent: list[MessageEnvelope] = []
-
-    @property
-    def crashed(self) -> bool:
-        return self.steps_sent >= self.crash_step
 
     def act(self, view: AdversaryView):
-        if self.crashed:
+        if self.steps_sent >= self.crash_step:  # crashed
             return []
         self.steps_sent += 1
         # A halted node says its final again; the engine delivers it once
         # and then replays it in place of anything the node sends.
         self.last_sent = [
-            node.message or _restamp(node.mbba.final_envelope, view.step_id)
+            env
             for node in self.nodes
+            for env in node.messages or [_restamp(f, view.step_id) for f in node.finals]
         ]
         return self.last_sent
 
     def end_step(self, view: AdversaryView) -> None:
         """Step the running nodes on their inbox: the honest envelopes plus
         this adversary's own sends, tallied by the step's rules."""
-        if self.crashed:
+        if self.steps_sent >= self.crash_step or all(n.messages is None for n in self.nodes):
             return
-        sid = view.step_id
         tally = ingest(
             view.honest_envelopes + self.last_sent,
             m=self.config.m,
-            kind=sid.kind,
-            signature_check=signature_check(self.registry, self.common, sid),
+            kind=view.kind,
+            signature_check=signature_check(self.registry, self.common, view.step_id),
         )
-        for node in self.nodes:
-            if node.message is not None:
-                node.advance(tally)
+        tallies = dict.fromkeys(self.corrupt_ids, tally)
+        self.nodes = [node for node, _ in step_classes(self.nodes, tallies)]
 
 
 _BYTES = tuple(bytes([b]) for b in range(256))
@@ -224,7 +209,8 @@ class SplitKeeperAdversary(Adversary):
     def _act_values(self, view: AdversaryView):
         thr, flo, t = self._sizes()
         m = self.config.m
-        tally = ingest(view.honest_envelopes, m=m, kind=PayloadKind.VALUES)
+        # the engine's tally of the honest envelopes, or one for a hand-made view
+        tally = view.tally or ingest(view.honest_envelopes, m=m, kind=PayloadKind.VALUES)
         active = view.active_honest
         # Step 1 primes a minimal relay majority; step 2 grades a low half at
         # 2 and starves the rest down to grade 1.
@@ -271,7 +257,7 @@ class SplitKeeperAdversary(Adversary):
         m = self.config.m
         sid = view.step_id
         step = sid.step
-        tally = ingest(view.honest_envelopes, m=m, kind=PayloadKind.BITS)
+        tally = view.tally or ingest(view.honest_envelopes, m=m, kind=PayloadKind.BITS)
         zeros, ones = tally.zeros, tally.ones
         active = view.active_honest
         act = len(active)
@@ -307,10 +293,7 @@ class SplitKeeperAdversary(Adversary):
                     break
 
         sends: dict[int, list] = {}
-        show_min_to = frozenset()
-        withheld = frozenset()
-        if split_sigs is not None:
-            show_min_to, withheld = split_sigs
+        show_min_to, withheld = split_sigs or (frozenset(), frozenset())
 
         # A recipient's envelopes depend only on its class: which push sets
         # hold it, and whether it is shown the withheld signatures.

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Optional
 
 
@@ -93,11 +93,7 @@ def coin_game_oracle(num_coins: int, heads_prob: float, seed) -> int:
     steps = 0
     while remaining > 0:
         steps += 1
-        survivors = 0
-        for _ in range(remaining):
-            if rng.random() >= heads_prob:
-                survivors += 1
-        remaining = survivors
+        remaining = sum(rng.random() >= heads_prob for _ in range(remaining))
     return steps
 
 
@@ -128,8 +124,7 @@ class EmpiricalHistogram:
         self.total += 1
         if comm_steps is not None:
             prev = self.max_comm_by_iter.get(iterations, 0)
-            if comm_steps > prev:
-                self.max_comm_by_iter[iterations] = comm_steps
+            self.max_comm_by_iter[iterations] = max(prev, comm_steps)
 
     def ccdf(self, w: int) -> float:
         if self.total == 0:
@@ -154,15 +149,7 @@ class BoundReport:
     notes: list
 
     def to_json_dict(self) -> dict:
-        return {
-            "ambiguous": self.ambiguous,
-            "honest_ratio": self.honest_ratio,
-            "total": self.total,
-            "passed": self.passed,
-            "rows": self.rows,
-            "comm_rows": self.comm_rows,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
     def to_text(self) -> str:
         lines = [

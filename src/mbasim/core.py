@@ -147,20 +147,15 @@ class Tally:
 
     A VALUES tally keeps one dict per component, value -> count.  A BITS
     tally is a :class:`BitTally`, which stores the counts as two int lists.
-
-    ``memo`` holds what the protocol layers compute from the tally (a relay
-    vector, grades, a coin), keyed by the layer's other inputs, so every
-    node handed this tally object reuses one result.  It is filled lazily
-    and dies with the tally; :func:`merge_tallies` never copies it.
+    Nodes that share a tally share its results by stepping as one class.
     """
 
-    __slots__ = ("m", "admitted", "counts", "memo")
+    __slots__ = ("m", "admitted", "counts")
 
     def __init__(self, m: int, admitted: dict[int, MessageEnvelope], counts: list[dict]):
         self.m = m
         self.admitted = admitted
         self.counts = counts
-        self.memo = {}
 
     def count(self, value, c: int) -> int:
         """Number of distinct admissible senders whose component c equals value."""
@@ -186,7 +181,6 @@ class BitTally(Tally):
         self.admitted = admitted
         self.zeros = zeros
         self.ones = ones
-        self.memo = {}
 
     def count(self, value, c: int) -> int:
         if not 0 <= c < self.m:
@@ -295,9 +289,8 @@ def c_agreement(honest_vectors: list, c: int) -> bool:
 def agreed_value(honest_vectors: list, c: int):
     """(True, v) when all vectors agree on v at component c, else (False, None)."""
     first = honest_vectors[0][c]
-    for vec in honest_vectors[1:]:
-        if vec[c] != first:
-            return False, None
+    if any(vec[c] != first for vec in honest_vectors):
+        return False, None
     return True, first
 
 
@@ -305,8 +298,7 @@ def ambiguous_components(honest_vectors: list) -> int:
     """Number of components where at least two of the vectors differ."""
     if not honest_vectors:
         return 0
-    m = len(honest_vectors[0])
-    return sum(0 if c_agreement(honest_vectors, c) else 1 for c in range(m))
+    return sum(not c_agreement(honest_vectors, c) for c in range(len(honest_vectors[0])))
 
 
 # --- canonical byte encodings (step logs, record hashes, hex dumps) ---

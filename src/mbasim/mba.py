@@ -3,9 +3,9 @@
 Composes the two sub-protocols over the synchronous simulator: two graded
 consensus steps, a grade-to-bit map, the iterated binary agreement on which
 components deserve a real value, then output determination.  A
-:class:`Node` runs that sequence for one node; ``run_trial`` steps the
-honest nodes through one full seeded execution and returns a transcript
-record with the runtime monitor verdicts.
+:class:`Node` runs that sequence for a class of nodes in one state;
+``run_trial`` steps the honest nodes through one full seeded execution and
+returns a transcript record with the runtime monitor verdicts.
 """
 
 from __future__ import annotations
@@ -13,15 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional
 
-from .core import (
-    BOT,
-    Phase,
-    ambiguous_components,
-    encode_payload,
-    is_value_vector,
-)
-from .crypto import KeyPair
-from .mbba import MbbaPhase, MbbaState, grades_to_bits
+from .core import BOT, MessageEnvelope, Phase, ambiguous_components, encode_payload, is_value_vector
+from .mbba import MbbaState, grades_to_bits, signatures
 from .mgc import MgcPhase, MgcState
 from .netsim import (
     Adversary,
@@ -43,17 +36,10 @@ def resolve_output(values: tuple, agreed_bits) -> tuple:
     happen in a sound execution; it is reported, not raised, so a campaign
     can complete and surface it as a failed trial.
     """
-    out = []
-    violation = None
-    for c, b in enumerate(agreed_bits):
-        if b == 0:
-            v = values[c]
-            if v is BOT:
-                violation = f"output-soundness: bit 0 at component {c} over local BOT"
-            out.append(v)
-        else:
-            out.append(BOT)
-    return tuple(out), violation
+    out = tuple(values[c] if b == 0 else BOT for c, b in enumerate(agreed_bits))
+    bot = [c for c, b in enumerate(agreed_bits) if b == 0 and values[c] is BOT]
+    violation = f"output-soundness: bit 0 at component {bot[-1]} over local BOT" if bot else None
+    return out, violation
 
 
 @dataclass
@@ -93,20 +79,49 @@ _JSON_FIELDS = tuple(f.name for f in fields(TrialRecord) if f.repr)
 
 
 class Node:
-    """One node's protocol run: MGC's two steps, the grade-to-bit handoff,
-    then MBBA until the node halts.
+    """A class of nodes in one protocol state: MGC's two steps, the
+    grade-to-bit handoff, then MBBA until the class halts.
 
-    ``message`` is what the node sends this step, None once it has halted
-    (the network replays its final message instead).  ``advance(tally)``
-    steps it on the step's tally.
+    ``ids`` are the members, ascending; the states run as the first of them.
+    ``messages`` is what the members send this step, one envelope each with
+    one payload object; None once halted (the network replays ``finals``).
+    ``advance(tally)`` steps the class on its members' tally.
     """
 
-    def __init__(self, node: int, n: int, m: int, initial, key: KeyPair, common: bytes):
-        self.mgc = MgcState(node, n, m, tuple(initial))
+    def __init__(self, ids, n: int, m: int, initial, registry, common: bytes):
+        self.ids = list(ids)
+        self.registry, self.common = registry, common
+        self.mgc = MgcState(self.ids[0], n, m, tuple(initial))
         self.mbba: Optional[MbbaState] = None
-        self.key = key
-        self.common = common
-        self.message = self.mgc.step1_outgoing()
+        self.messages = self._sends(self.mgc.step1_outgoing())
+
+    def _sends(self, env: Optional[MessageEnvelope]) -> Optional[list]:
+        """``env`` from every member: its payload, each member's id and signature."""
+        if env is None or len(self.ids) == 1:
+            return env and [env]
+        sigs = signatures(self.registry, self.common, env.step_id, self.ids[1:])
+        return [env] + [
+            MessageEnvelope(i, env.step_id, env.payload, signature=sig, final=env.final)
+            for i, sig in sigs.items()
+        ]
+
+    @property
+    def finals(self) -> list:
+        """The members' final messages, once the class has halted."""
+        return self._sends(self.mbba.final_envelope)
+
+    def split(self, ids: list) -> "Node":
+        """A copy of this class's state for ``ids``, members that leave it."""
+        twin = object.__new__(Node)
+        vars(twin).update(vars(self), ids=ids)
+        g, st, z = self.mgc, self.mbba, ids[0]
+        twin.mgc = MgcState(z, g.n, g.m, g.initial, g.phase, g.step2_vector, g.output)
+        if st is not None:
+            twin.mbba = MbbaState(
+                z, st.n, st.m, self.registry.keypair(z), st.common, st.bits[:], st.flags[:],
+                st.iteration, st.phase, st.output, st.final_envelope, st.finalized_at[:],
+            )
+        return twin
 
     def advance(self, tally) -> Optional[list]:
         """Step on this step's tally; returns the MBBA branch report, or
@@ -114,16 +129,52 @@ class Node:
         mbba = self.mbba
         if mbba is not None:
             branches = mbba.apply(tally)
-            self.message = mbba.outgoing()
+            self.messages = self._sends(mbba.outgoing())
             return branches
         mgc = self.mgc
         if mgc.phase == MgcPhase.AWAIT_STEP1:
-            self.message = mgc.step2_compute(tally)
+            self.messages = self._sends(mgc.step2_compute(tally))
             return None
         bits = grades_to_bits(mgc.output_determination(tally))
-        self.mbba = mbba = MbbaState(mgc.node, mgc.n, mgc.m, self.key, self.common, bits)
-        self.message = mbba.outgoing()
+        key = self.registry.keypair(mgc.node)
+        self.mbba = mbba = MbbaState(mgc.node, mgc.n, mgc.m, key, self.common, bits)
+        self.messages = self._sends(mbba.outgoing())
         return None
+
+
+def step_classes(classes: list, tallies: dict) -> list:
+    """Step each class once on its members' tally (``tallies`` maps every
+    member to its tally); returns (class, report) pairs in order of first
+    member.  A class whose members hold different tallies splits, one class
+    per tally, and classes in equal states that hold one tally join.
+    """
+    held: dict[int, list] = {}  # id of a tally -> the classes that hold it
+    for node in classes:
+        tally = tallies[node.ids[0]]
+        if len(node.ids) > 1 and any(tallies[i] is not tally for i in node.ids):
+            members: dict[int, list] = {}
+            for i in node.ids:
+                members.setdefault(id(tallies[i]), []).append(i)
+            node.ids, *rest = members.values()
+            for ids in rest:
+                held.setdefault(id(tallies[ids[0]]), []).append(node.split(ids))
+        held.setdefault(id(tally), []).append(node)
+    stepped = []
+    for group in held.values():
+        if len(group) > 1:
+            joined: dict = {}  # state -> the class of lowest first member in it
+            for node in sorted(group, key=lambda node: node.ids[0]):
+                # what the next transitions and the output read besides tallies
+                st = node.mbba
+                state = st and (tuple(st.bits), tuple(st.flags), tuple(st.finalized_at))
+                kept = joined.setdefault((state, node.mgc.output), node)
+                if kept is not node:
+                    kept.ids = sorted(kept.ids + node.ids)
+            group = joined.values()
+        for node in group:
+            stepped.append((node, node.advance(tallies[node.ids[0]])))
+    stepped.sort(key=lambda pair: pair[0].ids[0])
+    return stepped
 
 
 def run_trial(
@@ -134,7 +185,12 @@ def run_trial(
     collect_steps: bool = False,
     iteration_cap: int = ITERATION_CAP,
 ) -> TrialRecord:
-    """One full seeded execution: MGC, MBBA to halting, output determination."""
+    """One full seeded execution: MGC, MBBA to halting, output determination.
+
+    The honest nodes step as classes (:func:`step_classes`).  The monitors
+    read one row per class, keyed by its first member, and name every member
+    only in a violation.
+    """
     n, t, m = config.n, config.t, config.m
     if len(initial_vectors) != n:
         raise ValueError(f"need {n} initial vectors, got {len(initial_vectors)}")
@@ -144,74 +200,76 @@ def run_trial(
             raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
 
     net = SyncNetwork(config, adversary, initial_vectors, collect_steps=collect_steps)
-    nodes = {
-        i: Node(i, n, m, initial_vectors[i], net.registry.keypair(i), net.common) for i in honest
-    }
+    members: dict[tuple, list] = {}  # the classes start from equal initial vectors
+    for i in honest:
+        members.setdefault(tuple(initial_vectors[i]), []).append(i)
+    active = [Node(ids, n, m, v, net.registry, net.common) for v, ids in members.items()]
+    halted: list[Node] = []
 
     violations: list[str] = []
     persistence = PersistenceTracker(m)
     mbba_steps = 0
     halt_step = None
-    capped = False
 
-    active = nodes
     while active:
-        outgoing = {i: node.message for i, node in active.items()}
-        sid = next(iter(outgoing.values())).step_id
+        sid = active[0].messages[0].step_id
         in_mbba = sid.phase == Phase.MBBA
         if in_mbba and sid.iteration >= iteration_cap:
-            capped = True
+            violations.append(f"iteration cap {iteration_cap} exceeded")
             break
-        tallies = net.tallies(net.run_step(sid, outgoing))
-        branch_reports = {i: node.advance(tallies[i]) for i, node in active.items()}
+        outgoing = {env.sender: env for node in active for env in node.messages}
+        stepped = step_classes(active, net.tallies(net.run_step(sid, outgoing)))
+        active = [node for node, _ in stepped]
         if not in_mbba:
             continue
 
-        finalized = newly_finalized(
-            branch_reports, {i: node.mbba.flags for i, node in active.items()}
-        )
+        reports = {node.ids[0]: report for node, report in stepped}
+        finalized = newly_finalized(reports, {node.ids[0]: node.mbba.flags for node in active})
         mbba_steps += 1
 
-        for node in active.values():
-            if node.message is None:
-                net.register_final(node.mbba.final_envelope)
+        for node in active:
+            if node.messages is None:
+                for env in node.finals:
+                    net.register_final(env)
+                halted.append(node)
                 halt_step = sid.label()
-        active = {i: node for i, node in active.items() if node.message is not None}
+        active = [node for node in active if node.messages is not None]
 
-        honest_bits = {i: tuple(node.mbba.bits) for i, node in nodes.items()}
+        honest_bits = {node.ids[0]: tuple(node.mbba.bits) for node in halted + active}
+        fixation = fixation_violations(sid, finalized, honest_bits)
+        if fixation:  # name every member, in node then component order
+            ids_of = {node.ids[0]: node.ids for node, _ in stepped}
+            finalized = sorted((i, c) for k, c in finalized for i in ids_of[k])
+            fixation = fixation_violations(sid, finalized, honest_bits)
         step_violations = (
-            fixation_violations(sid, finalized, honest_bits)
-            + never_both_violations(sid, branch_reports, m)
+            fixation
+            + never_both_violations(sid, reports, m)
             + persistence.update(sid, honest_bits)
         )
         if step_violations:
             violations.extend(step_violations)
             break
 
-    mbba_states = {i: node.mbba for i, node in nodes.items()}
-    halted_all = all(st.phase == MbbaPhase.HALTED for st in mbba_states.values())
-    if capped:
-        violations.append(f"iteration cap {iteration_cap} exceeded")
+    state_of = {i: node for node in halted + active for i in node.ids}
+    halted_all = not active
 
     outputs = []
     if halted_all:
         for i in honest:
-            values = tuple(p.value for p in nodes[i].mgc.output)
-            out, violation = resolve_output(values, mbba_states[i].output)
+            node = state_of[i]
+            values = tuple(p.value for p in node.mgc.output)
+            out, violation = resolve_output(values, node.mbba.output)
             if violation is not None:
                 violations.append(f"node {i}: {violation}")
             outputs.append(out)
     agreement = halted_all and all(o == outputs[0] for o in outputs)
 
-    unanimous = all(
-        tuple(initial_vectors[i]) == tuple(initial_vectors[honest[0]]) for i in honest
-    )
     consistency = None
-    if unanimous:
-        consistency = agreement and outputs[0] == tuple(initial_vectors[honest[0]])
+    if len(members) == 1:  # unanimous honest inputs
+        consistency = agreement and outputs[0] == next(iter(members))
 
     iterations_used = (
-        max(st.iteration + 1 for st in mbba_states.values()) if halted_all else iteration_cap
+        max(node.mbba.iteration + 1 for node in state_of.values()) if halted_all else iteration_cap
     )
     return TrialRecord(
         seed=config.seed,
@@ -232,5 +290,5 @@ def run_trial(
         step_log_hash=net.log_hash(),
         outputs=outputs,
         steps=net.steps if collect_steps else None,
-        finalization_iterations={i: list(st.finalized_at) for i, st in mbba_states.items()},
+        finalization_iterations={i: list(node.mbba.finalized_at) for i, node in state_of.items()},
     )

@@ -63,6 +63,14 @@ def signature_check(registry, common: bytes, step_id: StepId):
     return lambda env: registry.verify(env.sender, message, env.signature)
 
 
+def signatures(registry, common: bytes, step_id: StepId, ids) -> dict:
+    """Each of ``ids``' signature for a message of ``step_id`` (None off the coin step)."""
+    if not step_id.coin:
+        return dict.fromkeys(ids)
+    message = signing_message(common, step_id.iteration)
+    return {i: registry.keypair(i).sign(message) for i in ids}
+
+
 @dataclass
 class MbbaState:
     """Per-node binary-agreement run.
@@ -155,19 +163,15 @@ class MbbaState:
 
     def _coin(self, tally: BitTally) -> tuple:
         """The shared coin from the signatures on the tally's fresh messages;
-        a final message never contributes one.  Derived once per tally."""
-        key = ("mbba-coin", self.m)
-        coin = tally.memo.get(key)
-        if coin is None:
-            sigs = [
-                (e.sender, e.signature)
-                for e in tally.admitted.values()
-                if e.signature is not None and not e.final
-            ]
-            if not sigs:
-                raise RuntimeError("no valid signatures: own message missing")
-            coin = tally.memo[key] = derive_coin(sigs, self.m)
-        return coin
+        a final message never contributes one."""
+        sigs = [
+            (e.sender, e.signature)
+            for e in tally.admitted.values()
+            if e.signature is not None and not e.final
+        ]
+        if not sigs:
+            raise RuntimeError("no valid signatures: own message missing")
+        return derive_coin(sigs, self.m)
 
     def exit_check(self) -> Optional[tuple]:
         """Halt once every flag is set: fix the output and queue the final

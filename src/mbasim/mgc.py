@@ -88,14 +88,8 @@ class MgcState:
         """
         if self.phase != MgcPhase.AWAIT_STEP1:
             raise RuntimeError(f"step2_compute in phase {self.phase}")
-        key = ("mgc-relay", self.n, self.m)
-        vector = tally.memo.get(key)
-        if vector is None:
-            threshold = two_thirds_majority(self.n)
-            vector = tally.memo[key] = tuple(
-                _super_majority_value(tally, c, threshold) for c in range(self.m)
-            )
-        self.step2_vector = vector
+        threshold = two_thirds_majority(self.n)
+        self.step2_vector = tuple(_super_majority_value(tally, c, threshold) for c in range(self.m))
         self.phase = MgcPhase.AWAIT_STEP2
         return MessageEnvelope(self.node, STEP2_ID, self.step2_vector)
 
@@ -103,28 +97,16 @@ class MgcState:
         """Grade every component from the step-2 tally; first matching rule wins."""
         if self.phase != MgcPhase.AWAIT_STEP2:
             raise RuntimeError(f"output_determination in phase {self.phase}")
-        key = ("mgc-grades", self.n, self.m)
-        pairs = tally.memo.get(key)
-        if pairs is None:
-            pairs = tally.memo[key] = _grade(tally, self.n, self.m)
-        self.output = pairs
+        grade2 = two_thirds_majority(self.n)
+        grade1 = one_third_majority(self.n)
+        pairs = []
+        for c in range(self.m):
+            value = _best_candidate(tally, c, grade2)
+            if value is not None:
+                pairs.append(GradedPair(value, 2))
+                continue
+            value = _best_candidate(tally, c, grade1)
+            pairs.append(GradedPair(BOT, 0) if value is None else GradedPair(value, 1))
+        self.output = tuple(pairs)
         self.phase = MgcPhase.DONE
         return self.output
-
-
-def _grade(tally: Tally, n: int, m: int) -> tuple:
-    """The graded pairs of components 0..m-1 of a step-2 tally."""
-    grade2 = two_thirds_majority(n)
-    grade1 = one_third_majority(n)
-    pairs = []
-    for c in range(m):
-        value = _best_candidate(tally, c, grade2)
-        if value is not None:
-            pairs.append(GradedPair(value, 2))
-            continue
-        value = _best_candidate(tally, c, grade1)
-        if value is not None:
-            pairs.append(GradedPair(value, 1))
-        else:
-            pairs.append(GradedPair(BOT, 0))
-    return tuple(pairs)

@@ -13,15 +13,16 @@ sender's message in every subsequent step and suppresses anything fresh the
 sender tries to say to that recipient.  Replayed messages carry no
 signature, so they never enter a coin step's signature set.
 
-An adversary's list output is the same list for every honest recipient, so
-a broadcast is one per-recipient send among others and the output shape
-never affects delivery or the step log, which hashes what each recipient
-received.  Each adversary envelope object is validated once per step (see
-:class:`Adversary`), which makes two envelopes that encode alike tally
-alike.  A delivery is kept as the honest part, identical for every
-recipient, plus the distinct adversary parts: recipients whose adversary
-envelopes encode alike share one part, and so one step-log entry and one
-tally.  Reusing envelope objects only saves their encoding.
+A delivery is the honest part, which every honest recipient receives and
+which is tallied once before the adversary acts, plus the distinct adversary
+parts.  An adversary's list output is that list for every recipient, and
+each adversary envelope object is checked once per step (see
+:class:`Adversary`), so envelopes that encode alike tally alike: recipients
+whose parts encode alike share one part, one step-log entry and one tally,
+whatever the output shape.  Recipients without replays that were handed one
+list or tuple object share its part without building it again.  Honest
+nodes with one state and one tally step as one class
+(:func:`mbasim.mba.step_classes`), whose members' payload is encoded once.
 """
 
 from __future__ import annotations
@@ -37,14 +38,15 @@ from .core import (
     MessageEnvelope,
     PayloadKind,
     StepId,
+    Tally,
     encode_envelope,
     encode_payload,
     ingest,
     merge_tallies,
     well_formed,
 )
-from .crypto import KeyRegistry, common_string, digest, signing_message
-from .mbba import Branch, signature_check
+from .crypto import KeyRegistry, common_string, digest
+from .mbba import Branch, signature_check, signatures
 
 
 # phase, iteration, step, number of distinct inboxes
@@ -93,12 +95,15 @@ class AdversaryView:
 
     ``honest_envelopes`` is the effective broadcast picture of the step:
     fresh messages of active honest nodes plus replays of halted ones.
+    ``tally`` is the engine's tally of them by the step's rules, None on a
+    view built without an engine.
     """
 
     step_id: StepId
     honest_envelopes: list
     honest_ids: list
     active_honest: list
+    tally: Optional[Tally] = None
 
     @property
     def kind(self) -> PayloadKind:
@@ -119,9 +124,9 @@ class Adversary:
     is None or 1 to 65535 ``bytes``; anything else raises
     :class:`SimulationError` (:class:`SpoofingError` for an honest sender).
     The payload may be anything: malformed payloads are dropped when
-    tallied.  The engine encodes each envelope object once per step, so
-    handing recipients that hear the same thing the same objects saves
-    encoding.  Strategies sign through :meth:`signatures`.  ``end_step``
+    tallied.  The engine encodes each envelope object once per step, and
+    recipients without replays handed one list or tuple object share its
+    part, built once.  Strategies sign through :meth:`signatures`.  ``end_step``
     runs after delivery, letting stateful strategies advance internal
     bookkeeping.
     """
@@ -139,11 +144,7 @@ class Adversary:
         """Each corrupt node's signature for a message of ``step_id``: of the
         iteration's signing message in the coin step, None in every other
         step.  Draws nothing from ``rng``."""
-        if not step_id.coin:
-            return dict.fromkeys(self.corrupt_ids)
-        message = signing_message(self.common, step_id.iteration)
-        keypair = self.registry.keypair
-        return {z: keypair(z).sign(message) for z in self.corrupt_ids}
+        return signatures(self.registry, self.common, step_id, self.corrupt_ids)
 
     def act(self, view: "AdversaryView"):
         return []
@@ -203,7 +204,7 @@ class StepDelivery:
     Recipients whose parts encode alike share one part (the envelopes of the
     first of them).  ``shared_encoded`` and ``parts_encoded`` carry the
     encodings position for position; they fix the delivery order and feed
-    the step-log hash.
+    the step-log hash.  ``tally`` is the tally of ``shared``.
     """
 
     step_id: StepId
@@ -212,6 +213,7 @@ class StepDelivery:
     parts: list
     parts_encoded: list
     part_of: dict
+    tally: Tally
 
     @property
     def extras(self) -> dict:
@@ -290,16 +292,13 @@ class SyncNetwork:
             shared.append(env)
             shared_encoded.append(encoded)
 
-        view = AdversaryView(
-            step_id=step_id,
-            honest_envelopes=shared,
-            honest_ids=self.honest_ids,
-            active_honest=sorted(honest_outgoing),
-        )
+        m = self.config.m
+        check = signature_check(self.registry, self.common, step_id)
+        tally = ingest(shared, m=m, kind=step_id.kind, signature_check=check)
+        view = AdversaryView(step_id, shared, self.honest_ids, sorted(honest_outgoing), tally)
         sends = self.adversary.act(view)
         if not isinstance(sends, dict):  # a list is the same list for every recipient
             sends = dict.fromkeys(self.honest_ids, _items(sends))
-        m = self.config.m
         # (envelope, encoding) of each adversary envelope object, keyed by
         # identity and filled when the step first sees (and checks) the
         # object.  Each pair holds its envelope, so no other object takes
@@ -308,10 +307,17 @@ class SyncNetwork:
         index: dict[tuple, int] = {}  # a part's encodings -> its index
         parts: list = []
         part_of: dict[int, int] = {}
+        by_sent: dict[int, tuple] = {}  # id of a list or tuple in sends -> (part, finals)
         for r in self.honest_ids:
             stars = self._adv_star[r]
+            sent = sends.get(r, ())
+            plain = not stars and (type(sent) is list or type(sent) is tuple)
+            if plain and id(sent) in by_sent:
+                part_of[r], finals = by_sent[id(sent)]
+                stars.update(finals)
+                continue
             out = [self._replay(star, step_id) for star in stars.values()]
-            for env in _items(sends.get(r, ())):
+            for env in _items(sent):
                 pair = encodings.get(id(env))
                 if pair is None:
                     _check_sent(env, step_id, self._corrupt)
@@ -329,8 +335,10 @@ class SyncNetwork:
             for env in parts[k]:
                 if env.final and env.sender not in stars and well_formed(env, m, PayloadKind.BITS):
                     stars[env.sender] = env
+            if plain:
+                by_sent[id(sent)] = k, stars
 
-        delivery = StepDelivery(step_id, shared, shared_encoded, parts, list(index), part_of)
+        delivery = StepDelivery(step_id, shared, shared_encoded, parts, list(index), part_of, tally)
         self._hash_step(delivery)
         if self.collect_steps:
             self.steps.append(delivery)
@@ -374,18 +382,14 @@ class SyncNetwork:
 
         The step id sets the rules: values in MGC, bits in MBBA, and in the
         coin step a fresh message counts only with its sender's signature
-        (:func:`mbba.signature_check`).  The shared part is tallied once,
-        and each non-empty adversary part once more on top of it.
+        (:func:`mbba.signature_check`).  ``run_step`` tallies the shared part
+        once; each non-empty adversary part is tallied once more on top of it.
         ``run_step`` groups recipients by the encodings of their parts and
         rejects the adversary output on which equal encodings could tally
-        differently, so one tally per part is the tally of each of its
-        recipients.
+        differently, so one tally per part is the tally of each recipient.
         """
-        m = self.config.m
-        sid = delivery.step_id
-        kind = sid.kind
-        check = signature_check(self.registry, self.common, sid)
-        base = ingest(delivery.shared, m=m, kind=kind, signature_check=check)
+        m, kind, base = self.config.m, delivery.step_id.kind, delivery.tally
+        check = signature_check(self.registry, self.common, delivery.step_id)
         by_part = [
             merge_tallies(base, ingest(part, m=m, kind=kind, signature_check=check))
             if part
@@ -406,24 +410,12 @@ def newly_finalized(branch_reports: dict, flags: dict) -> list:
     component order: its branch was not SKIPPED (the flag was clear) and its
     flag is now set.  ``flags`` holds each reporting node's flags after the
     step, keyed like ``branch_reports``."""
-    nodes = list(branch_reports)
-    columns = zip(zip(*branch_reports.values()), zip(*[flags[i] for i in nodes]))
-    found = []  # components some node finalized this step
-    every = True  # whether every node finalized each of them
-    for c, (branches, set_flags) in enumerate(columns):
-        # SKIPPED implies a flag set before the step, so the set flags
-        # outnumber the SKIPPED branches by the nodes that finalized c now.
-        new = set_flags.count(1) - branches.count(Branch.SKIPPED)
-        if new:
-            found.append(c)
-            every = every and new == len(nodes)
-    if every:
-        return [(i, c) for i in nodes for c in found]
+    skipped = Branch.SKIPPED
     return [
         (i, c)
-        for i in nodes
-        for c in found
-        if branch_reports[i][c] != Branch.SKIPPED and flags[i][c]
+        for i, branches in branch_reports.items()
+        for c, branch in enumerate(branches)
+        if branch != skipped and flags[i][c]
     ]
 
 

@@ -3,23 +3,23 @@
 import pytest
 
 from mbasim.adversaries import make_adversary
-from mbasim.mba import Node
+from mbasim.mba import Node, step_classes
 from mbasim.netsim import NetworkConfig, SyncNetwork
 
 
 def run_mgc_phase(config: NetworkConfig, initial_vectors, adversary=None) -> dict:
-    """Drive only the graded-consensus steps; returns per-honest-node outputs."""
+    """Drive only the graded-consensus steps, the honest nodes stepping as
+    classes like ``run_trial``; returns per-honest-node outputs."""
     net = SyncNetwork(config, adversary, initial_vectors)
-    nodes = {
-        i: Node(i, config.n, config.m, initial_vectors[i], net.registry.keypair(i), net.common)
+    nodes = [
+        Node([i], config.n, config.m, initial_vectors[i], net.registry, net.common)
         for i in net.honest_ids
-    }
+    ]
     for _ in range(2):
-        outgoing = {i: node.message for i, node in nodes.items()}
-        tallies = net.tallies(net.run_step(outgoing[net.honest_ids[0]].step_id, outgoing))
-        for i, node in nodes.items():
-            node.advance(tallies[i])
-    return {i: node.mgc.output for i, node in nodes.items()}
+        outgoing = {env.sender: env for node in nodes for env in node.messages}
+        delivery = net.run_step(nodes[0].messages[0].step_id, outgoing)
+        nodes = [node for node, _ in step_classes(nodes, net.tallies(delivery))]
+    return {i: node.mgc.output for node in nodes for i in node.ids}
 
 
 def build_adversary(name: str, params=()):

@@ -1,0 +1,118 @@
+"""A per-node trial driver, the reference for ``mba.run_trial``.
+
+Every honest node steps as its own one-member ``mba.Node`` on its own
+tally, and the monitors read one row per node.  ``run_trial`` steps classes
+of nodes instead (``mba.step_classes``); for the same configuration, inputs
+and adversary the two must produce the same record, outputs, finalization
+iterations and step-log hash (``tests/test_reference.py``).
+"""
+
+from mbasim.core import Phase, ambiguous_components, encode_payload, is_value_vector
+from mbasim.mba import ITERATION_CAP, Node, TrialRecord, resolve_output
+from mbasim.mbba import MbbaPhase
+from mbasim.netsim import (
+    PersistenceTracker,
+    SyncNetwork,
+    fixation_violations,
+    never_both_violations,
+    newly_finalized,
+)
+
+
+def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap=ITERATION_CAP):
+    n, t, m = config.n, config.t, config.m
+    if len(initial_vectors) != n:
+        raise ValueError(f"need {n} initial vectors, got {len(initial_vectors)}")
+    honest = config.honest_ids
+    for i in honest:
+        if not is_value_vector(tuple(initial_vectors[i]), m):
+            raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
+
+    net = SyncNetwork(config, adversary, initial_vectors)
+    nodes = {i: Node([i], n, m, initial_vectors[i], net.registry, net.common) for i in honest}
+
+    violations = []
+    persistence = PersistenceTracker(m)
+    mbba_steps = 0
+    halt_step = None
+    capped = False
+
+    active = nodes
+    while active:
+        outgoing = {i: node.messages[0] for i, node in active.items()}
+        sid = next(iter(outgoing.values())).step_id
+        in_mbba = sid.phase == Phase.MBBA
+        if in_mbba and sid.iteration >= iteration_cap:
+            capped = True
+            break
+        tallies = net.tallies(net.run_step(sid, outgoing))
+        branch_reports = {i: node.advance(tallies[i]) for i, node in active.items()}
+        if not in_mbba:
+            continue
+
+        finalized = newly_finalized(
+            branch_reports, {i: node.mbba.flags for i, node in active.items()}
+        )
+        mbba_steps += 1
+
+        for node in active.values():
+            if node.messages is None:
+                net.register_final(node.finals[0])
+                halt_step = sid.label()
+        active = {i: node for i, node in active.items() if node.messages is not None}
+
+        honest_bits = {i: tuple(node.mbba.bits) for i, node in nodes.items()}
+        step_violations = (
+            fixation_violations(sid, finalized, honest_bits)
+            + never_both_violations(sid, branch_reports, m)
+            + persistence.update(sid, honest_bits)
+        )
+        if step_violations:
+            violations.extend(step_violations)
+            break
+
+    mbba_states = {i: node.mbba for i, node in nodes.items()}
+    halted_all = all(st.phase == MbbaPhase.HALTED for st in mbba_states.values())
+    if capped:
+        violations.append(f"iteration cap {iteration_cap} exceeded")
+
+    outputs = []
+    if halted_all:
+        for i in honest:
+            values = tuple(p.value for p in nodes[i].mgc.output)
+            out, violation = resolve_output(values, mbba_states[i].output)
+            if violation is not None:
+                violations.append(f"node {i}: {violation}")
+            outputs.append(out)
+    agreement = halted_all and all(o == outputs[0] for o in outputs)
+
+    unanimous = all(
+        tuple(initial_vectors[i]) == tuple(initial_vectors[honest[0]]) for i in honest
+    )
+    consistency = None
+    if unanimous:
+        consistency = agreement and outputs[0] == tuple(initial_vectors[honest[0]])
+
+    iterations_used = (
+        max(st.iteration + 1 for st in mbba_states.values()) if halted_all else iteration_cap
+    )
+    return TrialRecord(
+        seed=config.seed,
+        n=n,
+        t=t,
+        m=m,
+        adversary=getattr(adversary, "name", "silent"),
+        halted=halted_all,
+        mbba_iterations=iterations_used,
+        comm_steps_raw=2 + mbba_steps,
+        comm_steps_with_barrier=3 + mbba_steps,
+        halt_step=halt_step,
+        agreement=agreement,
+        consistency=consistency,
+        monitor_violations=violations,
+        output_vector_hex=encode_payload(outputs[0]).hex() if agreement else "",
+        ambiguous=ambiguous_components([tuple(initial_vectors[i]) for i in honest]),
+        step_log_hash=net.log_hash(),
+        outputs=outputs,
+        finalization_iterations={i: list(st.finalized_at) for i, st in mbba_states.items()},
+    )

@@ -5,7 +5,7 @@ import pytest
 from conftest import build_adversary, run_mgc_phase
 from mbasim import mbba, netsim
 from mbasim.core import BOT, GradedPair, encode_envelope
-from mbasim.mba import grades_to_bits, resolve_output, run_trial
+from mbasim.mba import Node, grades_to_bits, resolve_output, run_trial
 from mbasim.mbba import Branch, MbbaState
 from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
@@ -162,8 +162,9 @@ class TestRunTrial:
 
 
 class TestPerTallyResults:
-    """What a tally determines is computed once per tally object and shared
-    by every node holding it."""
+    """What a tally determines is computed once per class of nodes that
+    hold it, and shared by the class's members.  In MGC a class is every
+    node that holds one tally object."""
 
     @staticmethod
     def spy_steps(monkeypatch):
@@ -220,23 +221,22 @@ class TestPerTallyResults:
             assert delivery.shared_encoded == [encode_envelope(e) for e in delivery.shared]
         assert encoded == len(calls)
 
-    def test_coin_derived_once_per_coin_step_tally(self, monkeypatch):
-        real_apply, real_coin = MbbaState.apply, mbba.derive_coin
-        coin_tallies = []  # tallies of coin steps that a node filled from the coin
+    def test_coin_derived_once_per_class(self, monkeypatch):
+        real_advance, real_coin = Node.advance, mbba.derive_coin
+        members = []  # size of each class that filled a component from the coin
         coins = []
 
-        def apply(state, tally):
-            branches = real_apply(state, tally)
-            if Branch.COIN in branches:
-                coin_tallies.append(tally)
-            return branches
+        def advance(node, tally):
+            report = real_advance(node, tally)
+            if report is not None and Branch.COIN in report:
+                members.append(len(node.ids))
+            return report
 
-        monkeypatch.setattr(MbbaState, "apply", apply)
+        monkeypatch.setattr(Node, "advance", advance)
         monkeypatch.setattr(mbba, "derive_coin", lambda *a: coins.append(a) or real_coin(*a))
         for seed in range(4):
             config = NetworkConfig(7, 2, 4, seed)
             inputs = build_inputs("ambiguous", (4,), config, scenario_rng(seed))
             rec = run_trial(config, inputs, build_adversary("split_keeper"))
             assert rec.halted and rec.agreement
-        distinct = {id(tally) for tally in coin_tallies}  # all kept alive by the list
-        assert len(coins) == len(distinct) < len(coin_tallies)
+        assert len(coins) == len(members) < sum(members)

@@ -164,7 +164,9 @@ class TestStep3:
         st.apply(bit_tally(4, 0, 4, 3))
         assert st.flags == [0]
 
-    def test_coin_derived_once_per_tally(self, monkeypatch):
+    def test_coin_derived_on_each_apply(self, monkeypatch):
+        # A tally keeps no results: nodes that share one share its coin by
+        # stepping as one class (mba.step_classes).
         real = mbba.derive_coin
         calls = []
         monkeypatch.setattr(mbba, "derive_coin", lambda *a: calls.append(a) or real(*a))
@@ -173,11 +175,11 @@ class TestStep3:
             self.advance(st)
         shared = bit_tally(2, 2, 4, 3, m=2)
         branches = [st.apply(shared) for st in states[:2]]
-        assert branches == [[Branch.COIN] * 2] * 2 and len(calls) == 1
+        assert branches == [[Branch.COIN] * 2] * 2 and len(calls) == 2
         assert states[0].bits == states[1].bits
-        # an equal tally that is another object derives its own coin
+        # an equal tally that is another object gives the same coin
         assert states[2].apply(bit_tally(2, 2, 4, 3, m=2)) == [Branch.COIN] * 2
-        assert len(calls) == 2 and states[2].bits == states[0].bits
+        assert len(calls) == 3 and states[2].bits == states[0].bits
 
 
 class TestExitCheckAndOutgoing:

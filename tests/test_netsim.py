@@ -317,6 +317,36 @@ class TestOutputShape:
         assert [rec.outputs for rec in records[1:]] == [records[0].outputs] * 2
 
 
+class TestSharedSendObject:
+    """Recipients handed one list or tuple object share one part when no
+    final binds them; a bound recipient hears its replay instead, and a
+    final in the shared part binds every recipient that got it."""
+
+    SID2 = StepId(Phase.MBBA, 0, 2)
+
+    def run(self, first, second):
+        _, net = make_net(adversary=ScriptedAdversary([first, second]))
+        honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
+        return honest_bits_step(net, {0: [0], 1: [0], 2: [0]}, self.SID2)
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_bound_recipient_hears_its_replay(self, container):
+        final = MessageEnvelope(3, SID, (1,), final=True)
+        fresh = container([MessageEnvelope(3, self.SID2, (0,))])
+        delivery = self.run({0: [final]}, dict.fromkeys(range(3), fresh))
+        assert delivery.part_of == {0: 0, 1: 1, 2: 1}
+        assert delivery.parts[0] == [MessageEnvelope(3, self.SID2, (1,), final=True)]
+        assert delivery.parts[1] == list(fresh)
+
+    @pytest.mark.parametrize("container", [list, tuple])
+    def test_shared_final_binds_every_recipient(self, container):
+        finals = container([MessageEnvelope(3, SID, (1,), final=True)])
+        fresh = [MessageEnvelope(3, self.SID2, (0,))]
+        delivery = self.run(dict.fromkeys(range(3), finals), fresh)
+        assert delivery.part_of == {0: 0, 1: 0, 2: 0}
+        assert delivery.parts[0] == [MessageEnvelope(3, self.SID2, (1,), final=True)]
+
+
 class TestConfigValidation:
     def test_faulty_bound_enforced(self):
         with pytest.raises(ValueError):
@@ -483,12 +513,13 @@ class TestSharedTallies:
         sid = StepId(Phase.MBBA, 0, 1)
         # 3 ones and 2 zeros at every component: split_keeper pushes some recipients
         outgoing = {i: MessageEnvelope(i, sid, (int(i < 3),) * m) for i in range(n - t)}
-        delivery = net.run_step(sid, outgoing)
         real = netsim.ingest
         calls = []
         monkeypatch.setattr(
             netsim, "ingest", lambda envs, **kw: calls.append(envs) or real(envs, **kw)
         )
+        # run_step tallies the honest part, for the adversary and for tallies
+        delivery = net.run_step(sid, outgoing)
         tallies = net.tallies(delivery)
         distinct = {tuple(map(id, envs)) for envs in delivery.extras.values()}
         assert 1 < len(distinct) < len(delivery.extras) == n - t, name
