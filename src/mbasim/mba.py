@@ -164,10 +164,11 @@ def step_classes(classes: list, tallies: dict) -> list:
         if len(group) > 1:
             joined: dict = {}  # state -> the class of lowest first member in it
             for node in sorted(group, key=lambda node: node.ids[0]):
-                # what the next transitions and the output read besides tallies
+                # what the next transitions and the output read besides tallies;
+                # classes join only on one graded-values object
                 st = node.mbba
                 state = st and (tuple(st.bits), tuple(st.flags), tuple(st.finalized_at))
-                kept = joined.setdefault((state, node.mgc.output), node)
+                kept = joined.setdefault((state, id(node.mgc.output)), node)
                 if kept is not node:
                     kept.ids = sorted(kept.ids + node.ids)
             group = joined.values()

@@ -6,7 +6,7 @@ from conftest import build_adversary, run_mgc_phase
 from mbasim import mbba, netsim
 from mbasim.core import BOT, GradedPair, encode_envelope
 from mbasim.mba import Node, grades_to_bits, resolve_output, run_trial
-from mbasim.mbba import Branch, MbbaState
+from mbasim.mbba import Branch
 from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
     FOUR_NODE_EXAMPLE,
