@@ -49,7 +49,10 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        NetworkConfig(self.nodes, self.byzantine, self.components, self.seed)
+        if self.iteration_cap < 0:
+            raise ValueError("iteration_cap must be >= 0")
+        for seed in (self.seed, self.seed + self.trials - 1):  # every trial seed lies between
+            NetworkConfig(self.nodes, self.byzantine, self.components, seed)
         parse_call(self.scenario)
         parse_call(self.adversary)
 

@@ -172,15 +172,17 @@ class Tally:
 
 class BitTally(Tally):
     """A BITS tally: ``zeros[c]`` and ``ones[c]`` count the votes for 0 and 1
-    at component c."""
+    at component c.  ``coin`` keeps the coin derived from a coin-step tally
+    (``MbbaState._coin``), so every class that holds the tally reads one."""
 
-    __slots__ = ("zeros", "ones")
+    __slots__ = ("zeros", "ones", "coin")
 
     def __init__(self, m: int, admitted: dict[int, MessageEnvelope], zeros: list, ones: list):
         self.m = m
         self.admitted = admitted
         self.zeros = zeros
         self.ones = ones
+        self.coin = None
 
     def count(self, value, c: int) -> int:
         if not 0 <= c < self.m:

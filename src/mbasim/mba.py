@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import BOT, MessageEnvelope, Phase, ambiguous_components, encode_payload, is_value_vector
 from .mbba import MbbaState, grades_to_bits, signatures
-from .mgc import MgcPhase, MgcState
+from .mgc import STEP1_ID, STEP2_ID, MgcPhase, MgcState
 from .netsim import (
     Adversary,
     NetworkConfig,
@@ -82,64 +82,60 @@ class Node:
     """A class of nodes in one protocol state: MGC's two steps, the
     grade-to-bit handoff, then MBBA until the class halts.
 
-    ``ids`` are the members, ascending; the states run as the first of them.
-    ``messages`` is what the members send this step, one envelope each with
-    one payload object; None once halted (the network replays ``finals``).
+    ``ids`` are the members, ascending.  The states hold no identity; the
+    node turns each payload they return into one envelope per member, all
+    with that one payload object, each with its member's id and coin-step
+    signature (:func:`mbba.signatures`).  ``messages`` is what the members
+    send this step, None once halted; ``finals`` is None until the class
+    halts, then the members' final messages, which the network replays.
     ``advance(tally)`` steps the class on its members' tally.
     """
 
     def __init__(self, ids, n: int, m: int, initial, registry, common: bytes):
         self.ids = list(ids)
         self.registry, self.common = registry, common
-        self.mgc = MgcState(self.ids[0], n, m, tuple(initial))
+        self.mgc = MgcState(n, m, tuple(initial))
         self.mbba: Optional[MbbaState] = None
-        self.messages = self._sends(self.mgc.step1_outgoing())
+        self.finals: Optional[list] = None
+        self.messages = self._sends(STEP1_ID, self.mgc.step1_outgoing())
 
-    def _sends(self, env: Optional[MessageEnvelope]) -> Optional[list]:
-        """``env`` from every member: its payload, each member's id and signature."""
-        if env is None or len(self.ids) == 1:
-            return env and [env]
-        sigs = signatures(self.registry, self.common, env.step_id, self.ids[1:])
-        return [env] + [
-            MessageEnvelope(i, env.step_id, env.payload, signature=sig, final=env.final)
-            for i, sig in sigs.items()
-        ]
-
-    @property
-    def finals(self) -> list:
-        """The members' final messages, once the class has halted."""
-        return self._sends(self.mbba.final_envelope)
+    def _sends(self, step_id, payload: tuple, final: bool = False) -> list:
+        """``payload`` from every member, each with its id and signature."""
+        sigs = signatures(self.registry, self.common, step_id, self.ids)
+        return [MessageEnvelope(i, step_id, payload, sig, final) for i, sig in sigs.items()]
 
     def split(self, ids: list) -> "Node":
         """A copy of this class's state for ``ids``, members that leave it."""
         twin = object.__new__(Node)
         vars(twin).update(vars(self), ids=ids)
-        g, st, z = self.mgc, self.mbba, ids[0]
-        twin.mgc = MgcState(z, g.n, g.m, g.initial, g.phase, g.step2_vector, g.output)
+        g, st = self.mgc, self.mbba
+        twin.mgc = MgcState(g.n, g.m, g.initial, g.phase, g.step2_vector, g.output)
         if st is not None:
             twin.mbba = MbbaState(
-                z, st.n, st.m, self.registry.keypair(z), st.common, st.bits[:], st.flags[:],
-                st.iteration, st.phase, st.output, st.final_envelope, st.finalized_at[:],
+                st.n, st.m, st.bits[:], st.flags[:], st.iteration, st.phase, st.output,
+                st.finalized_at[:],
             )
         return twin
 
     def advance(self, tally) -> Optional[list]:
         """Step on this step's tally; returns the MBBA branch report, or
         None during MGC."""
-        mbba = self.mbba
+        mgc, mbba, branches = self.mgc, self.mbba, None
         if mbba is not None:
+            sid = mbba.step_id()
             branches = mbba.apply(tally)
-            self.messages = self._sends(mbba.outgoing())
-            return branches
-        mgc = self.mgc
-        if mgc.phase == MgcPhase.AWAIT_STEP1:
-            self.messages = self._sends(mgc.step2_compute(tally))
+        elif mgc.phase == MgcPhase.AWAIT_STEP1:
+            self.messages = self._sends(STEP2_ID, mgc.step2_compute(tally))
             return None
-        bits = grades_to_bits(mgc.output_determination(tally))
-        key = self.registry.keypair(mgc.node)
-        self.mbba = mbba = MbbaState(mgc.node, mgc.n, mgc.m, key, self.common, bits)
-        self.messages = self._sends(mbba.outgoing())
-        return None
+        else:
+            bits = grades_to_bits(mgc.output_determination(tally))
+            self.mbba = mbba = MbbaState(mgc.n, mgc.m, bits)
+        bits = mbba.outgoing()
+        if bits is None:  # halted: the finals keep the halting step's id
+            self.messages, self.finals = None, self._sends(sid, mbba.output, final=True)
+        else:
+            self.messages = self._sends(mbba.step_id(), bits)
+        return branches
 
 
 def step_classes(classes: list, tallies: dict) -> list:

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from typing import Optional
 
-from .core import BitTally, MessageEnvelope, Phase, StepId, two_thirds_majority
-from .crypto import KeyPair, derive_coin, signing_message
+from .core import BitTally, Phase, StepId, two_thirds_majority
+from .crypto import derive_coin, signing_message
 
 
 class MbbaPhase(Enum):
@@ -64,7 +64,8 @@ def signature_check(registry, common: bytes, step_id: StepId):
 
 
 def signatures(registry, common: bytes, step_id: StepId, ids) -> dict:
-    """Each of ``ids``' signature for a message of ``step_id`` (None off the coin step)."""
+    """Each of ``ids``' signature for a message of ``step_id`` (None off the
+    coin step).  Honest and corrupt nodes alike sign only here."""
     if not step_id.coin:
         return dict.fromkeys(ids)
     message = signing_message(common, step_id.iteration)
@@ -73,23 +74,20 @@ def signatures(registry, common: bytes, step_id: StepId, ids) -> dict:
 
 @dataclass
 class MbbaState:
-    """Per-node binary-agreement run.
+    """A binary-agreement run.  It holds no node identity or key: ``mba.Node``
+    signs and sends the bits it returns.
 
     Flags are monotone: once ``flags[c]`` is 1, ``bits[c]`` never changes
     again.  ``iteration`` counts completed three-step loops.
     """
 
-    node: int
     n: int
     m: int
-    key: KeyPair
-    common: bytes
     bits: list[int]
     flags: list[int] = field(default_factory=list)
     iteration: int = 0
     phase: MbbaPhase = MbbaPhase.STEP1
     output: Optional[tuple] = None
-    final_envelope: Optional[MessageEnvelope] = None
     finalized_at: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
@@ -105,14 +103,12 @@ class MbbaState:
     def step_id(self) -> StepId:
         return StepId(Phase.MBBA, self.iteration, self.phase.value)
 
-    def outgoing(self) -> Optional[MessageEnvelope]:
-        """This step's broadcast; None once halted (the simulator replays the
+    def outgoing(self) -> Optional[tuple]:
+        """This step's bits; None once halted (the simulator replays the
         final message instead)."""
         if self.phase == MbbaPhase.HALTED:
             return None
-        sid = self.step_id()
-        sig = self.key.sign(signing_message(self.common, sid.iteration)) if sid.coin else None
-        return MessageEnvelope(self.node, sid, tuple(self.bits), signature=sig)
+        return tuple(self.bits)
 
     # -- state transitions ---------------------------------------------------
 
@@ -163,25 +159,26 @@ class MbbaState:
 
     def _coin(self, tally: BitTally) -> tuple:
         """The shared coin from the signatures on the tally's fresh messages;
-        a final message never contributes one."""
-        sigs = [
-            (e.sender, e.signature)
-            for e in tally.admitted.values()
-            if e.signature is not None and not e.final
-        ]
-        if not sigs:
-            raise RuntimeError("no valid signatures: own message missing")
-        return derive_coin(sigs, self.m)
+        a final message never contributes one.  It is derived once per tally
+        object and kept on it, for every class that holds that tally."""
+        if tally.coin is None:
+            sigs = [
+                (e.sender, e.signature)
+                for e in tally.admitted.values()
+                if e.signature is not None and not e.final
+            ]
+            if not sigs:
+                raise RuntimeError("no valid signatures: own message missing")
+            tally.coin = derive_coin(sigs, self.m)
+        return tally.coin
 
     def exit_check(self) -> Optional[tuple]:
-        """Halt once every flag is set: fix the output and queue the final
-        broadcast exactly once.  Returns the output when halted."""
+        """Halt once every flag is set and fix the output.  Returns the
+        output when halted."""
         if self.phase == MbbaPhase.HALTED:
             return self.output
         if not all(self.flags):
             return None
-        halted_at = self.step_id()
         self.output = tuple(self.bits)
         self.phase = MbbaPhase.HALTED
-        self.final_envelope = MessageEnvelope(self.node, halted_at, self.output, final=True)
         return self.output

@@ -15,7 +15,6 @@ from typing import Optional
 from .core import (
     BOT,
     GradedPair,
-    MessageEnvelope,
     Phase,
     StepId,
     Tally,
@@ -64,9 +63,8 @@ def _best_candidate(tally: Tally, c: int, threshold: int):
 
 @dataclass
 class MgcState:
-    """Per-node graded-consensus run."""
+    """A graded-consensus run; it holds no node identity (``mba.Node`` sends its payloads)."""
 
-    node: int
     n: int
     m: int
     initial: tuple
@@ -74,14 +72,14 @@ class MgcState:
     step2_vector: Optional[tuple] = None
     output: Optional[tuple] = field(default=None)
 
-    def step1_outgoing(self) -> MessageEnvelope:
-        """Broadcast of the unmodified initial vector."""
+    def step1_outgoing(self) -> tuple:
+        """The step-1 payload: the unmodified initial vector."""
         if self.phase != MgcPhase.AWAIT_STEP1:
             raise RuntimeError(f"step1_outgoing in phase {self.phase}")
-        return MessageEnvelope(self.node, STEP1_ID, self.initial)
+        return self.initial
 
-    def step2_compute(self, tally: Tally) -> MessageEnvelope:
-        """Derive the step-2 vector from the step-1 tally and emit it.
+    def step2_compute(self, tally: Tally) -> tuple:
+        """Derive the step-2 vector from the step-1 tally and return it.
 
         Component c becomes the value relayed by more than 2n/3 distinct
         senders, BOT otherwise.
@@ -91,7 +89,7 @@ class MgcState:
         threshold = two_thirds_majority(self.n)
         self.step2_vector = tuple(_super_majority_value(tally, c, threshold) for c in range(self.m))
         self.phase = MgcPhase.AWAIT_STEP2
-        return MessageEnvelope(self.node, STEP2_ID, self.step2_vector)
+        return self.step2_vector
 
     def output_determination(self, tally: Tally) -> tuple:
         """Grade every component from the step-2 tally; first matching rule wins."""

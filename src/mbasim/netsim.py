@@ -77,6 +77,8 @@ class NetworkConfig:
             raise ValueError("need at least one node and one component")
         if self.t < 0 or self.n < 3 * self.t + 1:
             raise ValueError(f"n >= 3t+1 required, got n={self.n}, t={self.t}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
     @property
     def honest_ids(self) -> list:

@@ -110,7 +110,7 @@ class TestCrashAfter:
         real_advance, real_tallies = Node.advance, SyncNetwork.tallies
 
         def advance(node, tally):
-            if node.mgc.node in corrupt:
+            if node.ids[0] in corrupt:
                 mine.setdefault(node.messages[0].step_id, []).append(tally)
             return real_advance(node, tally)
 

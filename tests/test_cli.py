@@ -121,6 +121,9 @@ class TestMain:
     def test_usage_error_exit(self):
         assert main(["--scenario", "not-a-scenario!", "--quiet"]) == EXIT_USAGE
         assert main(["--nodes", "5", "--byzantine", "2", "--quiet"]) == EXIT_USAGE
+        assert main(["--seed", "-1", "--quiet"]) == EXIT_USAGE
+        assert main(["--seed", str(2**64 - 1), "--trials", "2", "--quiet"]) == EXIT_USAGE
+        assert main(["--iteration-cap", "-1", "--quiet"]) == EXIT_USAGE
 
     def test_io_error_exit(self, tmp_path):
         code = main([

@@ -3,10 +3,12 @@
 import pytest
 
 from conftest import build_adversary, run_mgc_phase
-from mbasim import mbba, netsim
-from mbasim.core import BOT, GradedPair, encode_envelope
+from mbasim import mba, mbba, netsim
+from mbasim.core import BOT, GradedPair, Phase, encode_envelope, ingest
+from mbasim.crypto import KeyRegistry, common_string
 from mbasim.mba import Node, grades_to_bits, resolve_output, run_trial
 from mbasim.mbba import Branch
+from mbasim.mgc import MgcPhase
 from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
     FOUR_NODE_EXAMPLE,
@@ -221,15 +223,15 @@ class TestPerTallyResults:
             assert delivery.shared_encoded == [encode_envelope(e) for e in delivery.shared]
         assert encoded == len(calls)
 
-    def test_coin_derived_once_per_class(self, monkeypatch):
+    def test_coin_derived_once_per_tally(self, monkeypatch):
         real_advance, real_coin = Node.advance, mbba.derive_coin
-        members = []  # size of each class that filled a component from the coin
+        held = []  # the tally of each class that filled a component from the coin
         coins = []
 
         def advance(node, tally):
             report = real_advance(node, tally)
             if report is not None and Branch.COIN in report:
-                members.append(len(node.ids))
+                held.append(tally)
             return report
 
         monkeypatch.setattr(Node, "advance", advance)
@@ -239,4 +241,46 @@ class TestPerTallyResults:
             inputs = build_inputs("ambiguous", (4,), config, scenario_rng(seed))
             rec = run_trial(config, inputs, build_adversary("split_keeper"))
             assert rec.halted and rec.agreement
-        assert len(coins) == len(members) < sum(members)
+        # classes in different states that hold one tally read one coin
+        assert len(coins) == len({id(tally) for tally in held}) < len(held)
+
+
+class TestNode:
+    """A class's states hold no identity: the node signs and addresses every
+    member's copy of one payload."""
+
+    def test_coin_step_envelopes_carry_their_senders_signatures(self, monkeypatch):
+        real = mba.step_classes
+        sent = []  # the messages of every class in a coin step
+
+        def step_classes(classes, tallies):
+            sent.extend(node.messages for node in classes if node.messages[0].step_id.coin)
+            return real(classes, tallies)
+
+        monkeypatch.setattr(mba, "step_classes", step_classes)
+        config = NetworkConfig(7, 2, 4, 0)
+        inputs = build_inputs("ambiguous", (4,), config, scenario_rng(0))
+        rec = run_trial(config, inputs, build_adversary("split_keeper"), collect_steps=True)
+        assert rec.halted and any(step.step_id.coin for step in rec.steps)
+        registry, common = KeyRegistry.from_seed(0, 7), common_string(0)
+        assert any(len(messages) > 1 for messages in sent)
+        for messages in sent:
+            check = mbba.signature_check(registry, common, messages[0].step_id)
+            assert all(check(env) for env in messages)
+            assert len({id(env.payload) for env in messages}) == 1
+
+    def test_split_copies_both_states(self):
+        registry, common = KeyRegistry.from_seed(0, 4), common_string(0)
+        node = Node([0, 1, 2, 3], 4, 2, (b"x", b"y"), registry, common)
+        for _ in range(3):  # MGC's two steps, then MBBA step 1 without a supermajority
+            sid = node.messages[0].step_id
+            messages = node.messages if sid.phase == Phase.MGC else node.messages[:2]
+            node.advance(ingest(messages, m=2, kind=sid.kind))
+        twin = node.split([2, 3])
+        before = (node.mgc.phase, node.mbba.bits[:], node.mbba.flags[:], node.mbba.finalized_at[:])
+        twin.mgc.phase = MgcPhase.AWAIT_STEP1
+        twin.mbba.bits[0] ^= 1
+        twin.mbba.flags[1] = 1
+        twin.mbba.finalized_at[1] = 7
+        after = (node.mgc.phase, node.mbba.bits, node.mbba.flags, node.mbba.finalized_at)
+        assert after == before and node.ids == [0, 1, 2, 3] and twin.ids == [2, 3]

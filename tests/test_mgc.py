@@ -20,21 +20,17 @@ def tally_from(values_per_sender, m=1, sid=STEP1_ID):
 
 class TestStep1:
     def test_initial_vector_sent_unmodified(self):
-        st_ = MgcState(0, 4, 4, (b"9", b"2", b"8", b"4"))
-        env = st_.step1_outgoing()
-        assert env.payload == (b"9", b"2", b"8", b"4")
-        assert env.step_id == STEP1_ID
+        st_ = MgcState(4, 4, (b"9", b"2", b"8", b"4"))
+        assert st_.step1_outgoing() == (b"9", b"2", b"8", b"4")
 
     def test_all_bot_vector(self):
-        st_ = MgcState(0, 4, 2, (BOT, BOT))
-        assert st_.step1_outgoing().payload == (BOT, BOT)
+        assert MgcState(4, 2, (BOT, BOT)).step1_outgoing() == (BOT, BOT)
 
     def test_single_component_reduces_to_scalar(self):
-        st_ = MgcState(0, 4, 1, (b"v",))
-        assert st_.step1_outgoing().payload == (b"v",)
+        assert MgcState(4, 1, (b"v",)).step1_outgoing() == (b"v",)
 
     def test_wrong_phase_rejected(self):
-        st_ = MgcState(0, 4, 1, (b"v",))
+        st_ = MgcState(4, 1, (b"v",))
         st_.step2_compute(tally_from([(b"v",)] * 4))
         with pytest.raises(RuntimeError):
             st_.step1_outgoing()
@@ -42,32 +38,27 @@ class TestStep1:
 
 class TestStep2:
     def test_three_of_four_reaches_relay(self):
-        st_ = MgcState(0, 4, 1, (b"9",))
-        env = st_.step2_compute(tally_from([(b"9",), (b"9",), (b"9",), (b"0",)]))
-        assert env.payload == (b"9",)
-        assert env.step_id == STEP2_ID
+        st_ = MgcState(4, 1, (b"9",))
+        assert st_.step2_compute(tally_from([(b"9",), (b"9",), (b"9",), (b"0",)])) == (b"9",)
         assert st_.phase == MgcPhase.AWAIT_STEP2
 
     def test_two_two_split_relays_bot(self):
-        st_ = MgcState(0, 4, 1, (b"8",))
-        env = st_.step2_compute(tally_from([(b"8",), (b"8",), (b"7",), (b"7",)]))
-        assert env.payload == (BOT,)
+        st_ = MgcState(4, 1, (b"8",))
+        assert st_.step2_compute(tally_from([(b"8",), (b"8",), (b"7",), (b"7",)])) == (BOT,)
 
     def test_five_of_seven_meets_threshold(self):
         # floor(14/3) + 1 = 5
-        st_ = MgcState(0, 7, 1, (b"x",))
-        env = st_.step2_compute(tally_from([(b"x",)] * 5 + [(b"y",)] * 2))
-        assert env.payload == (b"x",)
+        st_ = MgcState(7, 1, (b"x",))
+        assert st_.step2_compute(tally_from([(b"x",)] * 5 + [(b"y",)] * 2)) == (b"x",)
 
     def test_four_of_seven_misses_threshold(self):
-        st_ = MgcState(0, 7, 1, (b"x",))
-        env = st_.step2_compute(tally_from([(b"x",)] * 4 + [(b"y",)] * 3))
-        assert env.payload == (BOT,)
+        st_ = MgcState(7, 1, (b"x",))
+        assert st_.step2_compute(tally_from([(b"x",)] * 4 + [(b"y",)] * 3)) == (BOT,)
 
 
 class TestOutputDetermination:
     def run_output(self, n, step2_rows, m=1):
-        st_ = MgcState(0, n, m, (b"x",) * m)
+        st_ = MgcState(n, m, (b"x",) * m)
         st_.step2_compute(tally_from([[b"x"] * m] * n, m=m))
         return st_.output_determination(tally_from(step2_rows, m=m, sid=STEP2_ID))
 
@@ -91,7 +82,7 @@ class TestOutputDetermination:
         assert pairs[0].value == b"a" and pairs[0].grade == 1
 
     def test_wrong_phase_rejected(self):
-        st_ = MgcState(0, 4, 1, (b"x",))
+        st_ = MgcState(4, 1, (b"x",))
         with pytest.raises(RuntimeError):
             st_.output_determination(tally_from([(b"x",)] * 4, sid=STEP2_ID))
 
