@@ -7,6 +7,7 @@ import pytest
 from mbasim import mbba
 from mbasim.core import MessageEnvelope, PayloadKind, Phase, StepId, ingest
 from mbasim.crypto import KeyRegistry, common_string, derive_coin, signing_message
+from mbasim.mba import Node
 from mbasim.mbba import Branch, MbbaPhase, MbbaState
 
 REG = KeyRegistry.from_seed(5, 8)
@@ -187,12 +188,31 @@ class TestExitCheckAndOutgoing:
         assert st.exit_check() is None
         assert st.phase == MbbaPhase.STEP1
 
-    def test_full_flags_fix_output_and_halt(self):
+    def halted_node(self):
+        """A class of four whose MBBA state halts on a unanimous step 1."""
+        node = Node([0, 1, 2, 3], 4, 1, (b"x",), REG, COMMON)
+        node.mbba = make_state([0])
+        node.advance(bit_tally(4, 0, 4, 1))
+        return node
+
+    def test_full_flags_halt_with_final_broadcast(self):
         st = make_state([0, 1], flags=[1, 1])
         out = st.exit_check()
         assert out == (0, 1) and st.phase == MbbaPhase.HALTED
         assert st.outgoing() is None
-        assert st.exit_check() is out
+        # the state holds no envelope; the node turns the output into finals
+        node = self.halted_node()
+        assert node.messages is None
+        assert [env.sender for env in node.finals] == [0, 1, 2, 3]
+        for env in node.finals:
+            assert env.final and env.payload == (0,) and env.signature is None
+            assert env.step_id == StepId(Phase.MBBA, 0, 1)
+
+    def test_second_exit_check_does_not_rebuild_broadcast(self):
+        node = self.halted_node()
+        first, out = node.finals, node.mbba.output
+        assert node.mbba.exit_check() is out == (0,)
+        assert node.finals is first and node.mbba.outgoing() is None
 
     def test_outgoing_by_phase(self):
         st = make_state([1])
