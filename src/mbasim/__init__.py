@@ -28,7 +28,6 @@ from .netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
 from .adversaries import STRATEGIES, make_adversary
 from .analysis import (
     EmpiricalHistogram,
-    StepDistribution,
     bound_check,
     coin_game_ccdf,
     coin_game_oracle,
@@ -55,7 +54,6 @@ __all__ = [
     "PayloadKind",
     "Phase",
     "STRATEGIES",
-    "StepDistribution",
     "StepId",
     "SyncNetwork",
     "Tally",

@@ -298,7 +298,6 @@ class SplitKeeperAdversary(Adversary):
         # A recipient's envelopes depend only on its class: which push sets
         # hold it, and whether it is shown the withheld signatures.
         stories: dict[tuple, list] = {}  # class -> the envelopes it is sent
-        made: dict[tuple, MessageEnvelope] = {}  # (idx, payload) -> envelope
         for r in view.honest_ids:
             pushed = tuple(r in members for members in push_set)
             shown = r in show_min_to
@@ -312,12 +311,7 @@ class SplitKeeperAdversary(Adversary):
                         push_bit[c] if pushed[c] else (0 if idx < filler_zero_votes[c] else 1)
                         for c in range(m)
                     )
-                    env = made.get((idx, payload))
-                    if env is None:
-                        env = made[idx, payload] = MessageEnvelope(
-                            z, sid, payload, signature=signatures[z]
-                        )
-                    envs.append(env)
+                    envs.append(MessageEnvelope(z, sid, payload, signature=signatures[z]))
             if envs:
                 sends[r] = envs
         return sends

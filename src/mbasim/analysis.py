@@ -55,32 +55,6 @@ def coin_game_pmf(num_coins: int, heads_prob: float, w: int) -> float:
     return coin_game_ccdf(num_coins, heads_prob, w - 1) - coin_game_ccdf(num_coins, heads_prob, w)
 
 
-@dataclass(frozen=True)
-class StepDistribution:
-    """Closed-form pmf/ccdf of the coin-discard game."""
-
-    num_coins: int
-    heads_prob: float
-
-    def __post_init__(self) -> None:
-        _validate(self.num_coins, self.heads_prob)
-
-    def ccdf(self, w: int) -> float:
-        return coin_game_ccdf(self.num_coins, self.heads_prob, w)
-
-    def pmf(self, w: int) -> float:
-        return coin_game_pmf(self.num_coins, self.heads_prob, w)
-
-    def truncation_point(self, tail: float = 1e-12, limit: int = 10**6) -> int:
-        """Smallest w with ccdf(w) < tail."""
-        w = 1
-        while self.ccdf(w) >= tail:
-            w += 1
-            if w > limit:
-                raise RuntimeError("truncation point beyond limit")
-        return w
-
-
 def coin_game_oracle(num_coins: int, heads_prob: float, seed) -> int:
     """Plays the literal game; the brute-force oracle for the closed forms.
 

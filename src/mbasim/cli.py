@@ -47,6 +47,16 @@ class ExperimentConfig:
     iteration_cap: int = ITERATION_CAP
 
     def validate(self) -> None:
+        for name in ("nodes", "byzantine", "components", "trials", "seed", "iteration_cap"):
+            if type(getattr(self, name)) is not int:  # a bool is no count
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in ("adversary", "scenario"):
+            if type(getattr(self, name)) is not str:
+                raise ValueError(f"{name} must be a string, got {getattr(self, name)!r}")
+        for name in ("out", "report", "dump_steps"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not str:
+                raise ValueError(f"{name} must be a path string or null, got {value!r}")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if self.iteration_cap < 0:

@@ -186,7 +186,8 @@ def run_trial(
 
     The honest nodes step as classes (:func:`step_classes`).  The monitors
     read one row per class, keyed by its first member, and name every member
-    only in a violation.
+    only in a violation.  With ``collect_steps`` the record's ``steps`` holds
+    every step's :class:`~mbasim.netsim.StepDelivery`.
     """
     n, t, m = config.n, config.t, config.m
     if len(initial_vectors) != n:
@@ -196,7 +197,8 @@ def run_trial(
         if not is_value_vector(tuple(initial_vectors[i]), m):
             raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
 
-    net = SyncNetwork(config, adversary, initial_vectors, collect_steps=collect_steps)
+    net = SyncNetwork(config, adversary, initial_vectors)
+    steps = [] if collect_steps else None
     members: dict[tuple, list] = {}  # the classes start from equal initial vectors
     for i in honest:
         members.setdefault(tuple(initial_vectors[i]), []).append(i)
@@ -215,7 +217,10 @@ def run_trial(
             violations.append(f"iteration cap {iteration_cap} exceeded")
             break
         outgoing = {env.sender: env for node in active for env in node.messages}
-        stepped = step_classes(active, net.tallies(net.run_step(sid, outgoing)))
+        delivery = net.run_step(sid, outgoing)
+        if collect_steps:
+            steps.append(delivery)
+        stepped = step_classes(active, net.tallies(delivery))
         active = [node for node, _ in stepped]
         if not in_mbba:
             continue
@@ -286,6 +291,6 @@ def run_trial(
         ambiguous=ambiguous_components([tuple(initial_vectors[i]) for i in honest]),
         step_log_hash=net.log_hash(),
         outputs=outputs,
-        steps=net.steps if collect_steps else None,
+        steps=steps,
         finalization_iterations={i: list(node.mbba.finalized_at) for i, node in state_of.items()},
     )

@@ -15,13 +15,12 @@ signature, so they never enter a coin step's signature set.
 
 A delivery is the honest part, which every honest recipient receives and
 which is tallied once before the adversary acts, plus the distinct adversary
-parts.  An adversary's list output is that list for every recipient, and
-each adversary envelope object is checked once per step (see
-:class:`Adversary`), so envelopes that encode alike tally alike: recipients
-whose parts encode alike share one part, one step-log entry and one tally,
-whatever the output shape.  Recipients without replays that were handed one
-list or tuple object share its part without building it again.  Honest
-nodes with one state and one tally step as one class
+parts.  An adversary's list output is that list for every recipient.  Each
+list is checked and encoded where its part is built; recipients without
+replays that share a list or tuple share its part.  Checked envelopes that
+encode alike tally alike (see :class:`Adversary`), so recipients whose parts
+encode alike share one part, one step-log entry and one tally, whatever the
+output shape.  Honest nodes with one state and one tally step as one class
 (:func:`mbasim.mba.step_classes`), whose members' payload is encoded once.
 """
 
@@ -126,9 +125,9 @@ class Adversary:
     is None or 1 to 65535 ``bytes``; anything else raises
     :class:`SimulationError` (:class:`SpoofingError` for an honest sender).
     The payload may be anything: malformed payloads are dropped when
-    tallied.  The engine encodes each envelope object once per step, and
-    recipients without replays handed one list or tuple object share its
-    part, built once.  Strategies sign through :meth:`signatures`.  ``end_step``
+    tallied.  Each list is checked and encoded where its part is built;
+    recipients without replays that share a list or tuple share its part.
+    Strategies sign through :meth:`signatures`.  ``end_step``
     runs after delivery, letting stateful strategies advance internal
     bookkeeping.
     """
@@ -247,7 +246,6 @@ class SyncNetwork:
         config: NetworkConfig,
         adversary: Optional[Adversary] = None,
         initial_vectors=None,
-        collect_steps: bool = False,
     ):
         self.config = config
         self.registry = KeyRegistry.from_seed(config.seed, config.n)
@@ -260,8 +258,6 @@ class SyncNetwork:
         self.adversary = adversary
         self.honest_ids = config.honest_ids
         self._corrupt = frozenset(config.corrupt_ids)
-        self.collect_steps = collect_steps
-        self.steps: list[StepDelivery] = []
         self._halted_star: dict[int, MessageEnvelope] = {}
         # recipient -> {corrupt sender: the final it was handed first}
         self._adv_star: dict[int, dict] = {r: {} for r in self.honest_ids}
@@ -301,11 +297,6 @@ class SyncNetwork:
         sends = self.adversary.act(view)
         if not isinstance(sends, dict):  # a list is the same list for every recipient
             sends = dict.fromkeys(self.honest_ids, _items(sends))
-        # (envelope, encoding) of each adversary envelope object, keyed by
-        # identity and filled when the step first sees (and checks) the
-        # object.  Each pair holds its envelope, so no other object takes
-        # its id.
-        encodings: dict[int, tuple] = {}
         index: dict[tuple, int] = {}  # a part's encodings -> its index
         parts: list = []
         part_of: dict[int, int] = {}
@@ -320,12 +311,9 @@ class SyncNetwork:
                 continue
             out = [self._replay(star, step_id) for star in stars.values()]
             for env in _items(sent):
-                pair = encodings.get(id(env))
-                if pair is None:
-                    _check_sent(env, step_id, self._corrupt)
-                    pair = encodings[id(env)] = (env, encode_envelope(env))
+                _check_sent(env, step_id, self._corrupt)
                 if env.sender not in stars:  # a bound sender says only its replay
-                    out.append(pair)
+                    out.append((env, encode_envelope(env)))
             # An encoding starts with the sender's id in big-endian, so
             # ordering by encoding orders by (sender, encoding).
             out.sort(key=itemgetter(1))
@@ -342,8 +330,6 @@ class SyncNetwork:
 
         delivery = StepDelivery(step_id, shared, shared_encoded, parts, list(index), part_of, tally)
         self._hash_step(delivery)
-        if self.collect_steps:
-            self.steps.append(delivery)
         self.adversary.end_step(view)
         return delivery
 

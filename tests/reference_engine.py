@@ -5,18 +5,49 @@ tally, and the monitors read one row per node.  ``run_trial`` steps classes
 of nodes instead (``mba.step_classes``); for the same configuration, inputs
 and adversary the two must produce the same record, outputs, finalization
 iterations and step-log hash (``tests/test_reference.py``).
+
+The driver does not use ``SyncNetwork.tallies`` or trust the inbox grouping
+of ``run_step``: it rebuilds every honest recipient's adversary part from
+the adversary's raw output and its own record of bound senders, asserts that
+the delivered part encodes alike, and tallies each recipient's whole inbox
+with one ``ingest``.
 """
 
-from mbasim.core import Phase, ambiguous_components, encode_payload, is_value_vector
+from mbasim.core import (
+    PayloadKind,
+    Phase,
+    ambiguous_components,
+    encode_envelope,
+    encode_payload,
+    ingest,
+    is_value_vector,
+    well_formed,
+)
 from mbasim.mba import ITERATION_CAP, Node, TrialRecord, resolve_output
-from mbasim.mbba import MbbaPhase
+from mbasim.mbba import MbbaPhase, signature_check
 from mbasim.netsim import (
     PersistenceTracker,
     SyncNetwork,
+    _restamp,
     fixation_violations,
     never_both_violations,
     newly_finalized,
 )
+
+
+def adversary_part(sends, recipient, bound, step_id, m):
+    """What the adversary delivers to ``recipient``: the replays of the finals
+    it was handed (``bound``: sender -> final) plus what the other corrupt
+    senders sent it, sorted by encoding.  A well-formed final delivered now
+    binds its sender from the next step on."""
+    sent = sends.get(recipient, ()) if isinstance(sends, dict) else sends
+    part = [_restamp(env, step_id) for env in bound.values()]
+    part += [env for env in sent if env.sender not in bound]
+    part.sort(key=encode_envelope)
+    for env in part:
+        if env.final and env.sender not in bound and well_formed(env, m, PayloadKind.BITS):
+            bound[env.sender] = env
+    return part
 
 
 def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap=ITERATION_CAP):
@@ -30,6 +61,14 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
 
     net = SyncNetwork(config, adversary, initial_vectors)
     nodes = {i: Node([i], n, m, initial_vectors[i], net.registry, net.common) for i in honest}
+    raw = []  # the adversary's output of the step
+
+    def act(view, real=net.adversary.act):
+        raw.append(real(view))
+        return raw[-1]
+
+    net.adversary.act = act
+    bound = {r: {} for r in honest}  # recipient -> {corrupt sender: its final}
 
     violations = []
     persistence = PersistenceTracker(m)
@@ -45,7 +84,17 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
         if in_mbba and sid.iteration >= iteration_cap:
             capped = True
             break
-        tallies = net.tallies(net.run_step(sid, outgoing))
+        delivery = net.run_step(sid, outgoing)
+        sends = raw.pop()
+        for r in honest:
+            part = adversary_part(sends, r, bound[r], sid, m)
+            delivered = delivery.parts[delivery.part_of[r]]
+            assert list(map(encode_envelope, part)) == list(map(encode_envelope, delivered)), r
+        check = signature_check(net.registry, net.common, sid)
+        tallies = {
+            i: ingest(delivery.inbox(i), m=m, kind=sid.kind, signature_check=check)
+            for i in active
+        }
         branch_reports = {i: node.advance(tallies[i]) for i, node in active.items()}
         if not in_mbba:
             continue

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mbasim.analysis import (
     BoundReport,
     EmpiricalHistogram,
-    StepDistribution,
     bound_check,
     coin_game_ccdf,
     coin_game_oracle,
@@ -106,18 +105,6 @@ def test_raising_heads_probability_lowers_steps():
         for lo, hi in ((0.2, 0.3), (0.35, 0.5), (0.5, 0.9)):
             for w in range(0, 201):
                 assert coin_game_ccdf(n, hi, w) <= coin_game_ccdf(n, lo, w) + 1e-15
-
-
-class TestStepDistribution:
-    def test_sum_to_one_after_truncation(self):
-        dist = StepDistribution(8, 5 / 14)
-        cut = dist.truncation_point(1e-12)
-        total = sum(dist.pmf(w) for w in range(1, cut + 1))
-        assert abs(total - 1.0) <= 1e-9
-
-    def test_invalid_parameters_rejected(self):
-        with pytest.raises(ValueError):
-            StepDistribution(3, 0.0)
 
 
 class TestOracle:

@@ -125,6 +125,18 @@ class TestMain:
         assert main(["--seed", str(2**64 - 1), "--trials", "2", "--quiet"]) == EXIT_USAGE
         assert main(["--iteration-cap", "-1", "--quiet"]) == EXIT_USAGE
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"seed": 1.5}, {"trials": 2.5}, {"adversary": 5}, {"nodes": True}, {"out": 1},
+         {"report": 7}],
+    )
+    def test_config_file_types_checked(self, fields, tmp_path, capsys):
+        cfg = write_config(tmp_path, **fields)
+        assert main(["--config", str(cfg), "--quiet"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "configuration error" in captured.err
+        assert not captured.out
+
     def test_io_error_exit(self, tmp_path):
         code = main([
             "--trials", "1", "--quiet",

@@ -528,10 +528,10 @@ class TestSharedTallies:
 
 
 class TestEncodeOnce:
-    """run_step encodes each delivered envelope once and carries the bytes."""
+    """run_step encodes each distinct send list once and carries the bytes."""
 
     @pytest.mark.parametrize("name", ["split_keeper", "random_byzantine"])
-    def test_each_delivered_envelope_encoded_at_most_once(self, name, monkeypatch):
+    def test_each_distinct_send_list_encoded_once(self, name, monkeypatch):
         n, t, m, seed = 7, 2, 4, 5
         adv = build_adversary(name)
         net = SyncNetwork(NetworkConfig(n, t, m, seed), adv)
@@ -551,10 +551,11 @@ class TestEncodeOnce:
         delivery = net.run_step(sid, outgoing)
         (sends,) = sent
         assert delivery.extras, name
-        # The adversary's envelopes are encoded once per distinct object
-        # (random_byzantine's exact duplicates are one object sent twice).
-        objects = {id(e) for envs in sends.values() for e in envs}
-        assert len(calls) == len(delivery.shared) + len(objects)
+        # Each distinct send list is encoded once, item by item: split_keeper
+        # hands recipients of one story one list, and random_byzantine's
+        # exact duplicates are one object sent twice, encoded twice.
+        lists = {id(envs): envs for envs in sends.values()}
+        assert len(calls) == len(delivery.shared) + sum(map(len, lists.values()))
         assert delivery.shared_encoded == [real(e) for e in delivery.shared]
         assert delivery.parts_encoded == [tuple(map(real, part)) for part in delivery.parts]
         for r in range(n - t):

@@ -1,6 +1,8 @@
 """run_trial, which steps honest nodes as classes, against the per-node
 reference driver in ``reference_engine.py``."""
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 import reference_engine
 from conftest import build_adversary
 from mbasim import mba
+from mbasim.adversaries import SplitKeeperAdversary
 from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId
 from mbasim.mba import ITERATION_CAP, run_trial
 from mbasim.mbba import Branch
@@ -44,8 +47,36 @@ class GroupedNoise(Adversary):
         return {r: lists[rng.randrange(3)] for r in view.honest_ids}
 
 
+class NoisySplitKeeper(SplitKeeperAdversary):
+    """split_keeper that, on coin steps, hands about a fifth of the
+    recipients its envelopes unsigned and about a fifth with 32 random bytes
+    as the signature, so the coin-step discard rules run while the honest
+    nodes stay split."""
+
+    name = "noisy_split_keeper"
+
+    def act(self, view):
+        sends = super().act(view)
+        if not view.step_id.coin or not sends:
+            return sends
+        rng, noisy = self.rng, {}
+        for r, envs in sends.items():
+            roll = rng.random()
+            if roll < 0.2:
+                envs = [replace(env, signature=None) for env in envs]
+            elif roll < 0.4:
+                envs = [replace(env, signature=rng.randbytes(32)) for env in envs]
+            noisy[r] = envs
+        return noisy
+
+
+TEST_ADVERSARIES = {cls.name: cls for cls in (GroupedNoise, NoisySplitKeeper)}
+
+
 def make(name, params=()):
-    return GroupedNoise() if name == "grouped_noise" else build_adversary(name, params)
+    if name in TEST_ADVERSARIES:
+        return TEST_ADVERSARIES[name]()
+    return build_adversary(name, params)
 
 
 @st.composite
@@ -110,6 +141,19 @@ def test_coin_steps_match_per_node_reference(ambiguous):
         assert_same(classes, per_node)
         iterations += classes.mbba_iterations
     assert iterations > 20
+
+
+@pytest.mark.parametrize("n, t, m", [(4, 1, 2), (7, 2, 4), (10, 3, 4)])
+@pytest.mark.parametrize("ambiguous", [1, 2])
+def test_coin_step_noise_matches_per_node_reference(n, t, m, ambiguous):
+    # unsigned and junk signatures reach coin-step tallies while split_keeper
+    # keeps the honest nodes split
+    for seed in range(20):
+        config = NetworkConfig(n, t, m, seed)
+        inputs = build_inputs("ambiguous", (ambiguous,), config, scenario_rng(seed))
+        classes, per_node = both(config, inputs, ("noisy_split_keeper", ()), ITERATION_CAP)
+        assert_same(classes, per_node)
+        assert classes.comm_steps_raw >= 5, seed  # MGC's two steps, MBBA's steps 1 to 3
 
 
 @pytest.mark.parametrize("adversary", [(name, ()) for name in ADVERSARIES] + [("crash_after", (3,))])
