@@ -2,8 +2,9 @@
 """Write or check the golden table of seeded trial fingerprints.
 
 Each row pins one trial, (n, t, m, adversary, scenario, seed), to its
-``step_log_hash`` and ``output_vector_hex``.  A change that keeps every
-delivered message and every output leaves the table unchanged, so the table
+``step_log_hash``, its ``output_vector_hex`` and ``record_sha256``, the
+sha256 of the trial's ``--out`` line.  A change that keeps every delivered
+message and every record byte leaves the table unchanged, so the table
 guards refactors and hot-path rewrites of the engine.
 
     PYTHONPATH=src python3 scripts/make_golden.py            # rewrite the table
@@ -13,6 +14,7 @@ guards refactors and hot-path rewrites of the engine.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import itertools
 import json
 import sys
@@ -24,7 +26,7 @@ TABLE = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_hash
 ADVERSARIES = ("silent", "crash_after(3)", "equivocator", "split_keeper", "random_byzantine")
 SEEDS = tuple(range(5))
 KEYS = ("n", "t", "m", "adversary", "scenario", "seed")
-FIELDS = ("step_log_hash", "output_vector_hex")
+FIELDS = ("step_log_hash", "output_vector_hex", "record_sha256")
 
 
 def cells():
@@ -50,6 +52,9 @@ def fingerprints(n, t, m, adversary, scenario) -> list:
             **dict(zip(KEYS, (n, t, m, adversary, scenario, record.seed))),
             "step_log_hash": record.step_log_hash,
             "output_vector_hex": record.output_vector_hex,
+            "record_sha256": hashlib.sha256(
+                json.dumps(record.to_json_dict(), sort_keys=True).encode()
+            ).hexdigest(),
         }
         for record in records
     ]
