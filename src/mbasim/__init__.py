@@ -22,8 +22,8 @@ from .core import (
 )
 from .crypto import KeyPair, KeyRegistry, common_string, derive_coin, digest
 from .mba import TrialRecord, resolve_output, run_trial
-from .mbba import MbbaPhase, MbbaState, grades_to_bits
-from .mgc import MgcPhase, MgcState
+from .mbba import MbbaState, grades_to_bits
+from .mgc import MgcState
 from .netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
 from .adversaries import STRATEGIES, make_adversary
 from .analysis import (
@@ -45,10 +45,8 @@ __all__ = [
     "GradedPair",
     "KeyPair",
     "KeyRegistry",
-    "MbbaPhase",
     "MbbaState",
     "MessageEnvelope",
-    "MgcPhase",
     "MgcState",
     "NetworkConfig",
     "PayloadKind",

@@ -209,8 +209,7 @@ class SplitKeeperAdversary(Adversary):
     def _act_values(self, view: AdversaryView):
         thr, flo, t = self._sizes()
         m = self.config.m
-        # the engine's tally of the honest envelopes, or one for a hand-made view
-        tally = view.tally or ingest(view.honest_envelopes, m=m, kind=PayloadKind.VALUES)
+        tally = view.tally
         active = view.active_honest
         # Step 1 primes a minimal relay majority; step 2 grades a low half at
         # 2 and starves the rest down to grade 1.
@@ -257,8 +256,7 @@ class SplitKeeperAdversary(Adversary):
         m = self.config.m
         sid = view.step_id
         step = sid.step
-        tally = view.tally or ingest(view.honest_envelopes, m=m, kind=PayloadKind.BITS)
-        zeros, ones = tally.zeros, tally.ones
+        zeros, ones = view.tally.zeros, view.tally.ones
         active = view.active_honest
         act = len(active)
 

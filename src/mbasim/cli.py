@@ -63,8 +63,10 @@ class ExperimentConfig:
             raise ValueError("iteration_cap must be >= 0")
         for seed in (self.seed, self.seed + self.trials - 1):  # every trial seed lies between
             NetworkConfig(self.nodes, self.byzantine, self.components, seed)
-        parse_call(self.scenario)
-        parse_call(self.adversary)
+        # the first trial's adversary and inputs: names, parameters and sizes
+        make_adversary(*parse_call(self.adversary))
+        net_config = NetworkConfig(self.nodes, self.byzantine, self.components, self.seed)
+        build_inputs(*parse_call(self.scenario), net_config, scenario_rng(self.seed))
 
 
 def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:

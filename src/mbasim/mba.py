@@ -15,7 +15,7 @@ from typing import Optional
 
 from .core import BOT, MessageEnvelope, Phase, ambiguous_components, encode_payload, is_value_vector
 from .mbba import MbbaState, grades_to_bits, signatures
-from .mgc import STEP1_ID, STEP2_ID, MgcPhase, MgcState
+from .mgc import STEP1_ID, STEP2_ID, MgcState
 from .netsim import (
     Adversary,
     NetworkConfig,
@@ -109,10 +109,10 @@ class Node:
         twin = object.__new__(Node)
         vars(twin).update(vars(self), ids=ids)
         g, st = self.mgc, self.mbba
-        twin.mgc = MgcState(g.n, g.m, g.initial, g.phase, g.step2_vector, g.output)
+        twin.mgc = MgcState(g.n, g.m, g.initial, g.output)
         if st is not None:
             twin.mbba = MbbaState(
-                st.n, st.m, st.bits[:], st.flags[:], st.iteration, st.phase, st.output,
+                st.n, st.m, st.bits[:], st.flags[:], st.iteration, st.step, st.output,
                 st.finalized_at[:],
             )
         return twin
@@ -124,7 +124,7 @@ class Node:
         if mbba is not None:
             sid = mbba.step_id()
             branches = mbba.apply(tally)
-        elif mgc.phase == MgcPhase.AWAIT_STEP1:
+        elif self.messages[0].step_id == STEP1_ID:
             self.messages = self._sends(STEP2_ID, mgc.step2_compute(tally))
             return None
         else:

@@ -1,28 +1,22 @@
 """Iterated three-step multidimensional binary Byzantine agreement.
 
 Each loop runs a Coin-Fixed-To-0 step, a Coin-Fixed-To-1 step, and a
-Coin-Genuinely-Flipped step.  A component is finalized (its flag set) when
-the step's favored bit gathers more than 2n/3 distinct senders; once every
-flag is set the node broadcasts its bit vector with the finality marker,
-outputs it and halts.  The genuinely-flipped step fills undecided components
-from a shared coin derived from the minimal hashed unique signature.
+Coin-Genuinely-Flipped step, steps 1, 2 and 3 of the loop's ``StepId``.  A
+component is finalized (its flag set) when the step's favored bit gathers
+more than 2n/3 distinct senders; once every flag is set the node broadcasts
+its bit vector with the finality marker, outputs it and halts.  The
+genuinely-flipped step fills undecided components from a shared coin
+derived from the minimal hashed unique signature.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from enum import Enum, IntEnum
+from enum import IntEnum
 from typing import Optional
 
 from .core import BitTally, Phase, StepId, two_thirds_majority
 from .crypto import derive_coin, signing_message
-
-
-class MbbaPhase(Enum):
-    STEP1 = 1
-    STEP2 = 2
-    STEP3 = 3
-    HALTED = 0
 
 
 class Branch(IntEnum):
@@ -37,14 +31,10 @@ class Branch(IntEnum):
 
 _THRESHOLD = (Branch.THRESHOLD_ZERO, Branch.THRESHOLD_ONE)
 
-# Per step: the bit its coin is fixed to, and the phase that follows.  A
-# supermajority for the fixed bit finalizes, and the fixed bit fills the
-# components without a supermajority.  None: the coin is flipped.
-_STEPS = {
-    MbbaPhase.STEP1: (0, MbbaPhase.STEP2),
-    MbbaPhase.STEP2: (1, MbbaPhase.STEP3),
-    MbbaPhase.STEP3: (None, MbbaPhase.STEP1),
-}
+# Per step: the bit its coin is fixed to.  A supermajority for the fixed bit
+# finalizes, and the fixed bit fills the components without a supermajority.
+# None: the coin is flipped.  Step s is followed by step s % 3 + 1.
+_STEPS = {1: 0, 2: 1, 3: None}
 
 
 def grades_to_bits(pairs) -> list:
@@ -78,7 +68,9 @@ class MbbaState:
     signs and sends the bits it returns.
 
     Flags are monotone: once ``flags[c]`` is 1, ``bits[c]`` never changes
-    again.  ``iteration`` counts completed three-step loops.
+    again.  ``iteration`` counts completed three-step loops, and ``step``
+    (1 to 3) is the step of the loop that ``apply`` runs next, or the one
+    the run halted in.  The run has halted once ``output`` is set.
     """
 
     n: int
@@ -86,7 +78,7 @@ class MbbaState:
     bits: list[int]
     flags: list[int] = field(default_factory=list)
     iteration: int = 0
-    phase: MbbaPhase = MbbaPhase.STEP1
+    step: int = 1
     output: Optional[tuple] = None
     finalized_at: list = field(default_factory=list)
 
@@ -101,12 +93,12 @@ class MbbaState:
     # -- wire side ----------------------------------------------------------
 
     def step_id(self) -> StepId:
-        return StepId(Phase.MBBA, self.iteration, self.phase.value)
+        return StepId(Phase.MBBA, self.iteration, self.step)
 
     def outgoing(self) -> Optional[tuple]:
         """This step's bits; None once halted (the simulator replays the
         final message instead)."""
-        if self.phase == MbbaPhase.HALTED:
+        if self.output is not None:
             return None
         return tuple(self.bits)
 
@@ -120,10 +112,9 @@ class MbbaState:
         supermajority take b, or in the Coin-Genuinely-Flipped step the coin
         derived from the tally's fresh signatures.
         """
-        rule = _STEPS.get(self.phase)
-        if rule is None:
+        if self.output is not None:
             raise RuntimeError("MBBA transition after halting")
-        fixed, after = rule
+        fixed = _STEPS[self.step]
         threshold = two_thirds_majority(self.n)
         zeros, ones = tally.zeros, tally.ones
         bits, flags = self.bits, self.flags
@@ -154,7 +145,7 @@ class MbbaState:
             self.iteration += 1
         elif self.exit_check() is not None:
             return branches
-        self.phase = after
+        self.step = self.step % 3 + 1
         return branches
 
     def _coin(self, tally: BitTally) -> tuple:
@@ -175,10 +166,6 @@ class MbbaState:
     def exit_check(self) -> Optional[tuple]:
         """Halt once every flag is set and fix the output.  Returns the
         output when halted."""
-        if self.phase == MbbaPhase.HALTED:
-            return self.output
-        if not all(self.flags):
-            return None
-        self.output = tuple(self.bits)
-        self.phase = MbbaPhase.HALTED
+        if self.output is None and all(self.flags):
+            self.output = tuple(self.bits)
         return self.output

@@ -96,15 +96,14 @@ class AdversaryView:
 
     ``honest_envelopes`` is the effective broadcast picture of the step:
     fresh messages of active honest nodes plus replays of halted ones.
-    ``tally`` is the engine's tally of them by the step's rules, None on a
-    view built without an engine.
+    ``tally`` is the engine's tally of them by the step's rules.
     """
 
     step_id: StepId
     honest_envelopes: list
     honest_ids: list
     active_honest: list
-    tally: Optional[Tally] = None
+    tally: Tally
 
     @property
     def kind(self) -> PayloadKind:

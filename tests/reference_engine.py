@@ -24,7 +24,7 @@ from mbasim.core import (
     well_formed,
 )
 from mbasim.mba import ITERATION_CAP, Node, TrialRecord, resolve_output
-from mbasim.mbba import MbbaPhase, signature_check
+from mbasim.mbba import signature_check
 from mbasim.netsim import (
     PersistenceTracker,
     SyncNetwork,
@@ -121,7 +121,7 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
             break
 
     mbba_states = {i: node.mbba for i, node in nodes.items()}
-    halted_all = all(st.phase == MbbaPhase.HALTED for st in mbba_states.values())
+    halted_all = all(st.output is not None for st in mbba_states.values())
     if capped:
         violations.append(f"iteration cap {iteration_cap} exceeded")
 

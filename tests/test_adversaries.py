@@ -17,7 +17,8 @@ from mbasim.adversaries import (
 from mbasim.core import BOT, BitTally, MessageEnvelope, PayloadKind, Phase, StepId, ingest
 from mbasim.crypto import KeyPair, signing_message
 from mbasim.mba import Node, run_trial
-from mbasim.mbba import signature_check
+from mbasim.mbba import signature_check, signatures
+from mbasim.mgc import STEP1_ID, STEP2_ID
 from mbasim.netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
 from mbasim.scenarios import build_inputs, scenario_rng
 
@@ -138,6 +139,48 @@ class TestCrashAfter:
                     for own in tallies_of_crash:
                         assert votes(own) == votes(tally), (seed, sid.label(), r)
 
+    def test_coin_step_tally_is_every_honest_recipients(self, monkeypatch):
+        # No workload brings the crash nodes to a coin step: drive them there
+        # with hand-made honest messages that hold no supermajority, two of
+        # them unsigned in the coin step.
+        config = NetworkConfig(7, 2, 2, 0, adversary="crash_after")
+        adv = build_adversary("crash_after", (10**6,))
+        net = SyncNetwork(config, adv, [(b"a", b"b")] * 7)
+        honest, corrupt = config.honest_ids, config.corrupt_ids
+        assert corrupt == [5, 6]
+        mine = {}  # step id -> the crash nodes' tally
+        real_advance = Node.advance
+
+        def advance(node, tally):
+            if node.ids[0] in corrupt:
+                mine[node.messages[0].step_id] = tally
+            return real_advance(node, tally)
+
+        monkeypatch.setattr(Node, "advance", advance)
+        coin = StepId(Phase.MBBA, 0, 3)
+        for sid in (STEP1_ID, STEP2_ID, StepId(Phase.MBBA, 0, 1), StepId(Phase.MBBA, 0, 2), coin):
+            sent = [env for node in adv.nodes for env in node.messages]
+            assert [(env.sender, env.step_id) for env in sent] == [(5, sid), (6, sid)]
+            if sid.phase == Phase.MGC:
+                payloads = [(b"a", b"b")] * 5
+            else:
+                # two honest votes for the crash nodes' bits, three against:
+                # each bit gets at most 4 of 7 votes
+                bits = sent[0].payload
+                payloads = [bits] * 2 + [tuple(1 - b for b in bits)] * 3
+            sigs = signatures(net.registry, net.common, sid, honest)
+            if sid.coin:
+                sigs[1] = sigs[3] = None
+            outgoing = {i: MessageEnvelope(i, sid, payloads[i], sigs[i]) for i in honest}
+            delivery = net.run_step(sid, outgoing)
+        tallies = net.tallies(delivery)
+        own = mine[coin]
+        assert sorted(own.admitted) == [0, 2, 4, 5, 6]
+        for r in honest:
+            assert (own.admitted, own.zeros, own.ones) == (
+                tallies[r].admitted, tallies[r].zeros, tallies[r].ones
+            ), r
+
     def test_mid_run_crash_keeps_agreement(self):
         for seed in range(10):
             rec = run_with("crash_after", (3,), seed=seed)
@@ -157,6 +200,7 @@ def build_view(config, step, bits_per_node, registry, common, iteration=0):
         honest_envelopes=envs,
         honest_ids=config.honest_ids,
         active_honest=sorted(bits_per_node),
+        tally=ingest(envs, m=config.m, kind=PayloadKind.BITS),
     )
 
 
@@ -236,11 +280,13 @@ class TestEquivocator:
         adv = build_adversary("equivocator")
         SyncNetwork(NetworkConfig(4, 1, 2, 8, adversary="equivocator"), adv)
         sid = StepId(Phase.MBBA, 0, 1)
+        envs = [MessageEnvelope(i, sid, (0, 1)) for i in range(3)]
         view = AdversaryView(
             step_id=sid,
-            honest_envelopes=[MessageEnvelope(i, sid, (0, 1)) for i in range(3)],
+            honest_envelopes=envs,
             honest_ids=[0, 1, 2],
             active_honest=[0, 1, 2],
+            tally=ingest(envs, m=2, kind=PayloadKind.BITS),
         )
         sends = adv.act(view)
         assert sends[0][0].payload != sends[1][0].payload
@@ -279,6 +325,7 @@ class TestSharedEnvelopes:
             honest_envelopes=envs,
             honest_ids=list(range(5)),
             active_honest=list(range(5)),
+            tally=ingest(envs, m=3, kind=PayloadKind.VALUES),
         )
 
     @pytest.mark.parametrize("step", [1, 2])
@@ -467,11 +514,13 @@ def test_act_matches_randrange_reference(n, m, seed, steps):
     for adv in (ours, ref):
         SyncNetwork(config, adv)
     for phase, iteration, step in steps:
+        sid = StepId(phase, iteration, step)
         view = AdversaryView(
-            step_id=StepId(phase, iteration, step),
+            step_id=sid,
             honest_envelopes=[],
             honest_ids=config.honest_ids,
             active_honest=config.honest_ids,
+            tally=ingest([], m=m, kind=sid.kind),
         )
         got, expected = ours.act(view), ref.act(view)
         assert list(got) == list(expected)

@@ -124,6 +124,15 @@ class TestMain:
         assert main(["--seed", "-1", "--quiet"]) == EXIT_USAGE
         assert main(["--seed", str(2**64 - 1), "--trials", "2", "--quiet"]) == EXIT_USAGE
         assert main(["--iteration-cap", "-1", "--quiet"]) == EXIT_USAGE
+        # names, parameters and sizes the first trial cannot be built from
+        assert main(["--adversary", "bogus", "--quiet"]) == EXIT_USAGE
+        assert main(["--scenario", "bogus", "--quiet"]) == EXIT_USAGE
+        assert main(["--scenario", "split(9)", "--quiet"]) == EXIT_USAGE
+        assert main([
+            "--scenario", "four-node-example", "--nodes", "7", "--byzantine", "2", "--quiet",
+        ]) == EXIT_USAGE
+        assert main(["--adversary", "crash_after(1,2)", "--quiet"]) == EXIT_USAGE
+        assert main(["--adversary", "silent(3)", "--quiet"]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
         "fields",

@@ -8,7 +8,6 @@ from mbasim.core import BOT, GradedPair, Phase, encode_envelope, ingest
 from mbasim.crypto import KeyRegistry, common_string
 from mbasim.mba import Node, grades_to_bits, resolve_output, run_trial
 from mbasim.mbba import Branch
-from mbasim.mgc import MgcPhase
 from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
     FOUR_NODE_EXAMPLE,
@@ -199,11 +198,13 @@ class TestPerTallyResults:
                 assert (graded[r] is graded[s]) == (t2[r] is t2[s]), (r, s)
         assert len({id(p) for p in relays.values()}) == len({id(x) for x in t1.values()})
         if name == "crash_after":
-            # the adversary's nodes share their own tally, relay and grades
-            first, *rest = [node.mgc for node in adv.nodes]
-            assert all(st.step2_vector is first.step2_vector for st in rest)
-            assert all(st.output is first.output for st in rest)
-            assert first.step2_vector == relays[0] and first.output == graded[0]
+            # the adversary's nodes share their own tally, so they step as
+            # one class: one relay payload (its step-2 messages) and grades
+            (node,) = adv.nodes
+            sent = {e.sender: e.payload for e in adv.last_sent}
+            assert sorted(sent) == node.ids == [5, 6]
+            assert len({id(p) for p in sent.values()}) == 1
+            assert sent[5] == relays[0] and node.mgc.output == graded[0]
 
     @pytest.mark.parametrize("scenario", [("unanimous", ()), ("ambiguous", (2,))])
     def test_mgc_step_encodes_each_honest_payload_once(self, scenario, monkeypatch):
@@ -277,10 +278,13 @@ class TestNode:
             messages = node.messages if sid.phase == Phase.MGC else node.messages[:2]
             node.advance(ingest(messages, m=2, kind=sid.kind))
         twin = node.split([2, 3])
-        before = (node.mgc.phase, node.mbba.bits[:], node.mbba.flags[:], node.mbba.finalized_at[:])
-        twin.mgc.phase = MgcPhase.AWAIT_STEP1
+        st = node.mbba
+        before = (node.mgc.output, st.bits[:], st.flags[:], st.finalized_at[:], st.step, st.output)
+        twin.mgc.output = None
         twin.mbba.bits[0] ^= 1
         twin.mbba.flags[1] = 1
         twin.mbba.finalized_at[1] = 7
-        after = (node.mgc.phase, node.mbba.bits, node.mbba.flags, node.mbba.finalized_at)
+        twin.mbba.step = 3
+        twin.mbba.output = (0, 0)
+        after = (node.mgc.output, st.bits, st.flags, st.finalized_at, st.step, st.output)
         assert after == before and node.ids == [0, 1, 2, 3] and twin.ids == [2, 3]

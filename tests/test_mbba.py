@@ -8,7 +8,7 @@ from mbasim import mbba
 from mbasim.core import MessageEnvelope, PayloadKind, Phase, StepId, ingest
 from mbasim.crypto import KeyRegistry, common_string, derive_coin, signing_message
 from mbasim.mba import Node
-from mbasim.mbba import Branch, MbbaPhase, MbbaState
+from mbasim.mbba import Branch, MbbaState
 
 REG = KeyRegistry.from_seed(5, 8)
 COMMON = common_string(5)
@@ -46,15 +46,14 @@ class TestStep1:
         branches = st.apply(bit_tally(4, 0, 4, 1))
         assert branches == [Branch.THRESHOLD_ZERO]
         assert st.flags == [1]
-        assert st.phase == MbbaPhase.HALTED
-        assert st.output == (0,)
+        assert st.output == (0,) and st.step == 1
 
     def test_even_split_defaults_to_zero(self):
         st = make_state([1])
         branches = st.apply(bit_tally(2, 2, 4, 1))
         assert branches == [Branch.DEFAULT]
         assert st.bits == [0] and st.flags == [0]
-        assert st.phase == MbbaPhase.STEP2
+        assert st.step == 2 and st.output is None
 
     def test_six_of_seven_ones_adopts_one_without_finalizing(self):
         # 6 > 14/3
@@ -72,7 +71,7 @@ class TestStep1:
     def test_transition_after_halting_raises(self):
         st = make_state([0])
         st.apply(bit_tally(4, 0, 4, 1))
-        assert st.phase == MbbaPhase.HALTED
+        assert st.output == (0,)
         with pytest.raises(RuntimeError):
             st.apply(bit_tally(4, 0, 4, 2))
 
@@ -86,7 +85,7 @@ class TestStep2:
         self.advance(st)
         branches = st.apply(bit_tally(0, 4, 4, 2))
         assert branches == [Branch.THRESHOLD_ONE]
-        assert st.phase == MbbaPhase.HALTED and st.output == (1,)
+        assert st.output == (1,) and st.step == 2
 
     def test_even_split_defaults_to_one(self):
         st = make_state([0])
@@ -105,7 +104,6 @@ class TestStep2:
         sid2 = StepId(Phase.MBBA, 0, 2)
         envs = [MessageEnvelope(i, sid2, (0, 1)) for i in range(4)]
         st.apply(ingest(envs, m=2, kind=PayloadKind.BITS))
-        assert st.phase == MbbaPhase.HALTED
         assert st.output == (0, 1)
 
 
@@ -120,7 +118,7 @@ class TestStep3:
         branches = st.apply(bit_tally(2, 2, 4, 3))
         assert branches == [Branch.COIN]
         assert st.bits[0] == derive_coin(signatures(range(4)), 1)[0]
-        assert st.iteration == 1 and st.phase == MbbaPhase.STEP1
+        assert st.iteration == 1 and st.step == 1 and st.output is None
 
     def test_coin_ignores_final_and_unsigned_messages(self):
         m = 8
@@ -186,7 +184,7 @@ class TestExitCheckAndOutgoing:
     def test_partial_flags_no_effect(self):
         st = make_state([0, 1], flags=[1, 0])
         assert st.exit_check() is None
-        assert st.phase == MbbaPhase.STEP1
+        assert st.step == 1 and st.output is None
 
     def halted_node(self):
         """A class of four whose MBBA state halts on a unanimous step 1."""
@@ -198,7 +196,7 @@ class TestExitCheckAndOutgoing:
     def test_full_flags_halt_with_final_broadcast(self):
         st = make_state([0, 1], flags=[1, 1])
         out = st.exit_check()
-        assert out == (0, 1) and st.phase == MbbaPhase.HALTED
+        assert out == (0, 1) and st.output is out
         assert st.outgoing() is None
         # the state holds no envelope; the node turns the output into finals
         node = self.halted_node()
@@ -217,9 +215,9 @@ class TestExitCheckAndOutgoing:
     def test_outgoing_by_phase(self):
         st = make_state([1])
         assert st.outgoing() == (1,)
-        st.phase = MbbaPhase.STEP3
+        st.step = 3
         assert st.outgoing() == (1,)
-        st.phase = MbbaPhase.HALTED
+        st.output = (1,)
         assert st.outgoing() is None
 
 
