@@ -25,11 +25,11 @@ run.  Available strategies:
 
 from __future__ import annotations
 
-from .core import BOT, MessageEnvelope, PayloadKind, ingest, two_thirds_majority
+from .core import BOT, MessageEnvelope, PayloadKind, merge_tallies, two_thirds_majority
 from .crypto import digest
 from .mba import Node, step_classes
 from .mbba import signature_check
-from .mgc import _best_candidate
+from .mgc import best_value
 from .netsim import Adversary, AdversaryView, _restamp
 
 
@@ -90,14 +90,13 @@ class CrashAfterAdversary(Adversary):
         return self.last_sent
 
     def end_step(self, view: AdversaryView) -> None:
-        """Step the running nodes on their inbox: the honest envelopes plus
-        this adversary's own sends, tallied by the step's rules."""
+        """Step the running nodes on their inbox: this adversary's own sends
+        merged onto the engine's tally of the honest envelopes."""
         if self.steps_sent >= self.crash_step or all(n.messages is None for n in self.nodes):
             return
-        tally = ingest(
-            view.honest_envelopes + self.last_sent,
-            m=self.config.m,
-            kind=view.kind,
+        tally = merge_tallies(
+            view.tally,
+            self.last_sent,
             signature_check=signature_check(self.registry, self.common, view.step_id),
         )
         tallies = dict.fromkeys(self.corrupt_ids, tally)
@@ -221,9 +220,8 @@ class SplitKeeperAdversary(Adversary):
         push_set: list = [frozenset()] * m
         for c in range(m):
             # the most held honest value, ties toward the smaller
-            value = _best_candidate(tally, c, 1)
-            have = tally.counts[c].get(value, 0)
-            if value is not None and have + t >= thr and have <= flo:
+            value, have = best_value(tally, c)
+            if value is not BOT and have + t >= thr and have <= flo:
                 push_value[c] = value
                 push_set[c] = frozenset(active[:size])
         junk = [b"\xf0" + bytes([c % 256]) for c in range(m)]

@@ -147,10 +147,12 @@ class Tally:
 
     A VALUES tally keeps one dict per component, value -> count.  A BITS
     tally is a :class:`BitTally`, which stores the counts as two int lists.
-    Nodes that share a tally share its results by stepping as one class.
+    ``kind`` is what the counted payloads carry.  Nodes that share a tally
+    share its results by stepping as one class.
     """
 
     __slots__ = ("m", "admitted", "counts")
+    kind = PayloadKind.VALUES
 
     def __init__(self, m: int, admitted: dict[int, MessageEnvelope], counts: list[dict]):
         self.m = m
@@ -176,6 +178,7 @@ class BitTally(Tally):
     (``MbbaState._coin``), so every class that holds the tally reads one."""
 
     __slots__ = ("zeros", "ones", "coin")
+    kind = PayloadKind.BITS
 
     def __init__(self, m: int, admitted: dict[int, MessageEnvelope], zeros: list, ones: list):
         self.m = m
@@ -200,6 +203,48 @@ class BitTally(Tally):
 _CONFLICT = object()
 
 
+def _admit(envelopes, m: int, kind: PayloadKind, signature_check) -> dict:
+    """The discarding rules: sender -> its one admissible envelope, in
+    first-seen order."""
+    by_sender: dict[int, object] = {}
+    for env in envelopes:
+        if not well_formed(env, m, kind):
+            continue
+        if signature_check is not None and not env.final and not signature_check(env):
+            continue
+        prev = by_sender.get(env.sender)
+        if prev is None:
+            by_sender[env.sender] = env
+        elif prev is _CONFLICT or prev == env:
+            continue
+        else:
+            by_sender[env.sender] = _CONFLICT
+    return {s: e for s, e in by_sender.items() if e is not _CONFLICT}
+
+
+def _ones(admitted: dict, m: int) -> list:
+    """Column sums of the admitted bit vectors: the votes for 1 per component."""
+    return list(map(sum, zip(*[e.payload for e in admitted.values()]))) or [0] * m
+
+
+def _bit_tally(m: int, admitted: dict, ones: list) -> BitTally:
+    voters = len(admitted)
+    return BitTally(m, admitted, [voters - k for k in ones], ones)
+
+
+def _add_values(counts: list, admitted: dict) -> list:
+    """Add the admitted value vectors' votes onto ``counts``; returns it.
+
+    Each distinct vector is counted once, weighted by its senders.  Counter
+    keeps first-seen order, so every counts[c] gets its keys in the order a
+    per-envelope count would insert them.
+    """
+    for payload, k in Counter([e.payload for e in admitted.values()]).items():
+        for column, v in zip(counts, payload):
+            column[v] = column.get(v, 0) + k
+    return counts
+
+
 def ingest(
     step_messages: Iterable[MessageEnvelope],
     *,
@@ -214,68 +259,39 @@ def ingest(
     3), a fresh message whose signature does not verify is dropped too.
     Final (replayed) messages are exempt from the signature requirement but
     never contribute a signature.  The node's own message participates like
-    any other.
+    any other.  :func:`merge_tallies` admits a further sender group by the
+    same rules and adds it onto a tally.
     """
-    by_sender: dict[int, object] = {}
-    for env in step_messages:
-        if not well_formed(env, m, kind):
-            continue
-        if signature_check is not None and not env.final and not signature_check(env):
-            continue
-        prev = by_sender.get(env.sender)
-        if prev is None:
-            by_sender[env.sender] = env
-        elif prev is _CONFLICT or prev == env:
-            continue
-        else:
-            by_sender[env.sender] = _CONFLICT
-
-    admitted = {s: e for s, e in by_sender.items() if e is not _CONFLICT}
+    admitted = _admit(step_messages, m, kind, signature_check)
     if kind == PayloadKind.BITS:
-        # Column sums of the admitted bit vectors count the ones.
-        ones = list(map(sum, zip(*[e.payload for e in admitted.values()]))) or [0] * m
-        voters = len(admitted)
-        return BitTally(m, admitted, [voters - k for k in ones], ones)
-    # Each distinct vector is counted once, weighted by its senders.  Counter
-    # keeps first-seen order, so every counts[c] gets its keys in the order
-    # a per-envelope count would insert them.
-    counts: list[dict] = [{} for _ in range(m)]
-    for payload, k in Counter([e.payload for e in admitted.values()]).items():
-        for column, v in zip(counts, payload):
-            column[v] = column.get(v, 0) + k
-    return Tally(m, admitted, counts)
+        return _bit_tally(m, admitted, _ones(admitted, m))
+    return Tally(m, admitted, _add_values([{} for _ in range(m)], admitted))
 
 
-def merge_tallies(base: Tally, extra: Tally) -> Tally:
-    """Combine tallies built from sender-disjoint message groups.
+def merge_tallies(
+    base: Tally,
+    envelopes: Iterable[MessageEnvelope],
+    *,
+    signature_check: Optional[Callable[[MessageEnvelope], bool]] = None,
+) -> Tally:
+    """``base`` plus the envelopes of a sender-disjoint group, in one pass.
 
-    Used by the simulator to tally the shared broadcast picture once and add
-    per-recipient adversarial messages on top.  Groups must not share
-    senders, otherwise duplicate/equivocation detection would be bypassed.
+    The envelopes are admitted by :func:`ingest`'s discarding rules, with m
+    and the kind read from ``base``, and their votes are added onto a copy
+    of ``base``'s counts; ``base`` is left as it was.  The simulator tallies
+    the shared broadcast picture once and merges each adversary part onto
+    it.  An admitted sender that ``base`` already counts raises ValueError,
+    since duplicate and equivocation detection cannot see across the groups.
     """
-    if base.m != extra.m:
-        raise ValueError("tally dimensions differ")
-    if type(base) is not type(extra):
-        raise ValueError("tally kinds differ")
-    overlap = base.admitted.keys() & extra.admitted.keys()
-    if overlap:
-        raise ValueError(f"tally sender groups overlap: {sorted(overlap)}")
-    admitted = dict(base.admitted)
-    admitted.update(extra.admitted)
-    if type(base) is BitTally:
-        return BitTally(
-            base.m,
-            admitted,
-            list(map(add, base.zeros, extra.zeros)),
-            list(map(add, base.ones, extra.ones)),
-        )
-    counts = []
-    for c in range(base.m):
-        merged = dict(base.counts[c])
-        for v, k in extra.counts[c].items():
-            merged[v] = merged.get(v, 0) + k
-        counts.append(merged)
-    return Tally(base.m, admitted, counts)
+    m, kind = base.m, base.kind
+    added = _admit(envelopes, m, kind, signature_check)
+    if not base.admitted.keys().isdisjoint(added):
+        overlap = sorted(base.admitted.keys() & added.keys())
+        raise ValueError(f"tally sender groups overlap: {overlap}")
+    admitted = {**base.admitted, **added}
+    if kind == PayloadKind.BITS:
+        return _bit_tally(m, admitted, list(map(add, base.ones, _ones(added, m))))
+    return Tally(m, admitted, _add_values(list(map(dict, base.counts)), added))
 
 
 def c_agreement(honest_vectors: list, c: int) -> bool:

@@ -256,11 +256,13 @@ def run_trial(
     halted_all = not active
 
     outputs = []
-    if halted_all:
+    if halted_all:  # one output per class, reported for each member
+        resolved = {
+            id(node): resolve_output(tuple(p.value for p in node.mgc.output), node.mbba.output)
+            for node in halted
+        }
         for i in honest:
-            node = state_of[i]
-            values = tuple(p.value for p in node.mgc.output)
-            out, violation = resolve_output(values, node.mbba.output)
+            out, violation = resolved[id(state_of[i])]
             if violation is not None:
                 violations.append(f"node {i}: {violation}")
             outputs.append(out)
@@ -288,7 +290,7 @@ def run_trial(
         consistency=consistency,
         monitor_violations=violations,
         output_vector_hex=encode_payload(outputs[0]).hex() if agreement else "",
-        ambiguous=ambiguous_components([tuple(initial_vectors[i]) for i in honest]),
+        ambiguous=ambiguous_components(list(members)),
         step_log_hash=net.log_hash(),
         outputs=outputs,
         steps=steps,

@@ -2,8 +2,10 @@
 
 Every node broadcasts its observed vector, re-broadcasts the componentwise
 super-majority winner (or BOT where none exists), then grades each component
-by how much support the re-broadcast value gathered: grade 2 for more than
-2n/3 distinct senders, grade 1 for more than n/3, otherwise (BOT, 0).
+by how much support the re-broadcast value gathered.  One scan of each
+component's step-2 counts finds its most held non-BOT value; that value
+grades 2 when more than 2n/3 distinct senders hold it, 1 when more than n/3
+do, and otherwise the component is (BOT, 0).
 The state keeps no clock: its caller makes the calls of steps ``STEP1_ID``
 and ``STEP2_ID`` in order.
 """
@@ -39,21 +41,24 @@ def _super_majority_value(tally: Tally, c: int, threshold: int):
     return BOT
 
 
-def _best_candidate(tally: Tally, c: int, threshold: int):
-    """Best non-BOT value with count >= threshold.
+def best_value(tally: Tally, c: int) -> tuple:
+    """(value, count) of the non-BOT value most held at component c, from one
+    scan; (BOT, 0) when every vote there is BOT.
 
     Ties (possible only under heavy equivocation, where grade 1 carries no
-    cross-node promise) break toward the larger count, then the smallest
-    byte-lexicographic value.
+    cross-node promise) break toward the smallest byte-lexicographic value.
     """
-    best = None
-    best_count = 0
+    best, best_count = BOT, 0
     for value, count in tally.counts[c].items():
-        if value is BOT or count < threshold:
+        if value is BOT:
             continue
         if count > best_count or (count == best_count and value < best):
             best, best_count = value, count
-    return best
+    return best, best_count
+
+
+# The grade-0 pair, shared by every component that grades 0.
+UNGRADED = GradedPair(BOT, 0)
 
 
 @dataclass
@@ -80,16 +85,18 @@ class MgcState:
         return tuple(_super_majority_value(tally, c, threshold) for c in range(self.m))
 
     def output_determination(self, tally: Tally) -> tuple:
-        """Grade every component from the step-2 tally; first matching rule wins."""
+        """Grade every component from the step-2 tally by the count of its
+        most held non-BOT value (:func:`best_value`)."""
         grade2 = two_thirds_majority(self.n)
         grade1 = one_third_majority(self.n)
         pairs = []
         for c in range(self.m):
-            value = _best_candidate(tally, c, grade2)
-            if value is not None:
+            value, count = best_value(tally, c)
+            if count >= grade2:
                 pairs.append(GradedPair(value, 2))
-                continue
-            value = _best_candidate(tally, c, grade1)
-            pairs.append(GradedPair(BOT, 0) if value is None else GradedPair(value, 1))
+            elif count >= grade1:
+                pairs.append(GradedPair(value, 1))
+            else:
+                pairs.append(UNGRADED)
         self.output = tuple(pairs)
         return self.output

@@ -15,9 +15,11 @@ signature, so they never enter a coin step's signature set.
 
 A delivery is the honest part, which every honest recipient receives and
 which is tallied once before the adversary acts, plus the distinct adversary
-parts.  An adversary's list output is that list for every recipient.  Each
-list is checked and encoded where its part is built; recipients without
-replays that share a list or tuple share its part.  Checked envelopes that
+parts.  Each distinct part costs one merge pass, which admits its envelopes
+and adds them onto the honest part's tally (:meth:`SyncNetwork.tallies`).
+An adversary's list output is that list for every recipient.  Each list is
+checked and encoded where its part is built; recipients without replays
+that share a list or tuple share its part.  Checked envelopes that
 encode alike tally alike (see :class:`Adversary`), so recipients whose parts
 encode alike share one part, one step-log entry and one tally, whatever the
 output shape.  Honest nodes with one state and one tally step as one class
@@ -370,17 +372,16 @@ class SyncNetwork:
         The step id sets the rules: values in MGC, bits in MBBA, and in the
         coin step a fresh message counts only with its sender's signature
         (:func:`mbba.signature_check`).  ``run_step`` tallies the shared part
-        once; each non-empty adversary part is tallied once more on top of it.
-        ``run_step`` groups recipients by the encodings of their parts and
-        rejects the adversary output on which equal encodings could tally
-        differently, so one tally per part is the tally of each recipient.
+        once (:func:`ingest`); each non-empty adversary part is admitted and
+        added onto that tally in one :func:`merge_tallies` pass.  ``run_step``
+        groups recipients by the encodings of their parts and rejects the
+        adversary output on which equal encodings could tally differently, so
+        one tally per part is the tally of each recipient.
         """
-        m, kind, base = self.config.m, delivery.step_id.kind, delivery.tally
+        base = delivery.tally
         check = signature_check(self.registry, self.common, delivery.step_id)
         by_part = [
-            merge_tallies(base, ingest(part, m=m, kind=kind, signature_check=check))
-            if part
-            else base
+            merge_tallies(base, part, signature_check=check) if part else base
             for part in delivery.parts
         ]
         return {r: by_part[k] for r, k in delivery.part_of.items()}

@@ -61,9 +61,18 @@ def _random_component(rng: random.Random):
     return BOT if rng.random() < 0.25 else _fresh_value(rng)
 
 
+# The most parameters each scenario takes.
+_MAX_PARAMS = {"unanimous": 0, "four-node-example": 0, "split": 1, "ambiguous": 1}
+
+
 def build_inputs(name: str, params: tuple, config: NetworkConfig, rng: random.Random) -> list:
     """Per-node initial vectors (corrupt slots included, for honest-behaving
-    strategies)."""
+    strategies).  Raises ValueError for an unknown scenario or a parameter
+    it does not take."""
+    if name not in _MAX_PARAMS:
+        raise ValueError(f"unknown scenario {name!r}")
+    if len(params) > _MAX_PARAMS[name]:
+        raise ValueError(f"{name} takes at most {_MAX_PARAMS[name]} parameters, got {params}")
     n, t, m = config.n, config.t, config.m
     honest = n - t
     if name == "unanimous":
@@ -98,4 +107,3 @@ def build_inputs(name: str, params: tuple, config: NetworkConfig, rng: random.Ra
                 second.append(base[c])
         first, second = tuple(first), tuple(second)
         return [first if i < majority else second for i in range(honest)] + [first] * t
-    raise ValueError(f"unknown scenario {name!r}")

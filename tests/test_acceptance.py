@@ -22,7 +22,7 @@ from mbasim.analysis import (
     coin_game_oracle,
     coin_game_pmf,
 )
-from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId, ingest
+from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId, ingest, merge_tallies
 from mbasim.mba import run_trial
 from mbasim.netsim import NetworkConfig
 from mbasim.scenarios import (
@@ -318,6 +318,11 @@ def test_c8_tally_semantics():
         admitted, counts = _recount_oracle(inbox, m)
         if tally.senders() != admitted or tally.counts != counts:
             failures.append(case)
+        # the low senders tallied, the high ones merged on top
+        low = ingest([e for e in inbox if e.sender < n // 2], m=m, kind=PayloadKind.VALUES)
+        merged = merge_tallies(low, [e for e in inbox if e.sender >= n // 2])
+        if merged.senders() != admitted or merged.counts != counts:
+            failures.append((case, "merge"))
         if 0 in admitted:
             saw["self"] += 1
         if any(tally.total(c) > n for c in range(m)):

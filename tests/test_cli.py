@@ -133,6 +133,14 @@ class TestMain:
         ]) == EXIT_USAGE
         assert main(["--adversary", "crash_after(1,2)", "--quiet"]) == EXIT_USAGE
         assert main(["--adversary", "silent(3)", "--quiet"]) == EXIT_USAGE
+        # scenario parameters the scenario does not take
+        small = ["--nodes", "4", "--byzantine", "1", "--components", "2", "--trials", "2"]
+        for scenario in ("unanimous(5)", "split(2,9)", "ambiguous(1,2)"):
+            assert main([*small, "--quiet", "--scenario", scenario]) == EXIT_USAGE, scenario
+        assert main([
+            "--scenario", "four-node-example(3)", "--nodes", "4", "--byzantine", "0",
+            "--components", "4", "--quiet",
+        ]) == EXIT_USAGE
 
     @pytest.mark.parametrize(
         "fields",

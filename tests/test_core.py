@@ -295,19 +295,20 @@ def test_merge_matches_joint_ingest_on_disjoint_groups(first, second):
     # shift the second group's senders out of the first group's id range
     second = [MessageEnvelope(e.sender + 10, e.step_id, e.payload) for e in second]
     joint = ingest(first + second, m=2, kind=PayloadKind.VALUES)
-    merged = merge_tallies(
-        ingest(first, m=2, kind=PayloadKind.VALUES),
-        ingest(second, m=2, kind=PayloadKind.VALUES),
-    )
+    base = ingest(first, m=2, kind=PayloadKind.VALUES)
+    before = [dict(column) for column in base.counts]
+    merged = merge_tallies(base, second)
     assert merged.counts == joint.counts
     assert merged.senders() == joint.senders()
+    assert base.counts == before  # the base is not changed
 
 
 def test_merge_rejects_overlapping_senders():
     a = ingest([val_env(0, (b"a",))], m=1, kind=PayloadKind.VALUES)
-    b = ingest([val_env(0, (b"b",))], m=1, kind=PayloadKind.VALUES)
     with pytest.raises(ValueError):
-        merge_tallies(a, b)
+        merge_tallies(a, [val_env(0, (b"b",))])
+    # a sender the merge drops does not overlap
+    assert merge_tallies(a, [val_env(0, (b"b", b"c"))]).senders() == {0}
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9))
@@ -396,7 +397,8 @@ def test_bit_merge_matches_reference_recount(first, second, checked):
     check = SIG_OK if checked else None
     merged = merge_tallies(
         ingest(first, m=3, kind=PayloadKind.BITS, signature_check=check),
-        ingest(second, m=3, kind=PayloadKind.BITS, signature_check=check),
+        second,
+        signature_check=check,
     )
     _assert_matches_recount(merged, first + second, 3, check)
 
@@ -404,19 +406,21 @@ def test_bit_merge_matches_reference_recount(first, second, checked):
 @given(bit_batches(m=2, n=4), bit_batches(m=2, n=4, first_sender=10))
 def test_merge_matches_joint_ingest_on_disjoint_groups_bits(first, second):
     joint = ingest(first + second, m=2, kind=PayloadKind.BITS)
-    merged = merge_tallies(
-        ingest(first, m=2, kind=PayloadKind.BITS),
-        ingest(second, m=2, kind=PayloadKind.BITS),
-    )
+    base = ingest(first, m=2, kind=PayloadKind.BITS)
+    before = (base.zeros[:], base.ones[:])
+    merged = merge_tallies(base, second)
     assert (merged.zeros, merged.ones) == (joint.zeros, joint.ones)
     assert merged.senders() == joint.senders()
+    assert (base.zeros, base.ones) == before  # the base is not changed
 
 
-def test_merge_rejects_mixed_kinds():
+def test_merge_onto_bits_drops_value_envelopes_as_malformed():
+    # the kind comes from the base: value vectors are malformed in a bit step
     bits = ingest([bit_env(0, (1,))], m=1, kind=PayloadKind.BITS)
-    values = ingest([val_env(1, (b"a",))], m=1, kind=PayloadKind.VALUES)
-    with pytest.raises(ValueError):
-        merge_tallies(bits, values)
+    merged = merge_tallies(bits, [val_env(1, (b"a",)), bit_env(2, (0,))])
+    assert merged.kind == PayloadKind.BITS
+    assert merged.senders() == {0, 2}
+    assert (merged.zeros, merged.ones) == ([1], [1])
 
 
 _JUNK_VALUES = [0, 1.0, "a", bytearray(b"a"), (b"a",)]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_adversary, run_mgc_phase
-from mbasim.core import BOT, MessageEnvelope, PayloadKind, ingest
+from mbasim.core import BOT, MessageEnvelope, PayloadKind, Tally, ingest
 from mbasim.mgc import STEP1_ID, STEP2_ID, MgcState
 from mbasim.netsim import NetworkConfig
 
@@ -73,6 +73,46 @@ class TestOutputDetermination:
         assert pairs[0].value == b"b" and pairs[0].grade == 1
         pairs = self.run_output(7, [(b"b",)] * 3 + [(b"a",)] * 3 + [(BOT,)])
         assert pairs[0].value == b"a" and pairs[0].grade == 1
+
+
+def _two_threshold_rule(n, column):
+    """Grade 2 for a non-BOT value held by at least floor(2n/3)+1 senders,
+    else grade 1 for one held by at least floor(n/3)+1, else (BOT, 0); among
+    qualifying values the larger count wins, then the smaller value."""
+    for grade, threshold in ((2, 2 * n // 3 + 1), (1, n // 3 + 1)):
+        held = [v for v, k in column.items() if v is not BOT and k >= threshold]
+        if held:
+            return min(held, key=lambda v: (-column[v], v)), grade
+    return BOT, 0
+
+
+@st.composite
+def graded_tallies(draw):
+    """n in 4..13 and a hand-built step-2 value tally whose counts sit on
+    both sides of both thresholds, with BOT entries and equal counts."""
+    n = draw(st.integers(min_value=4, max_value=13))
+    near = sorted({
+        k for thr in (n // 3 + 1, 2 * n // 3 + 1) for k in (thr - 1, thr, thr + 1) if k > 0
+    })
+    m = draw(st.integers(min_value=1, max_value=4))
+    counts = []
+    for _ in range(m):
+        values = draw(st.lists(st.sampled_from([b"a", b"b", b"c", b"ab", BOT]), unique=True))
+        shared = draw(st.sampled_from(near))  # equal counts tie
+        counts.append({
+            v: draw(st.one_of(st.just(shared), st.sampled_from(near), st.integers(1, n)))
+            for v in values
+        })
+    return n, Tally(m, {}, counts)
+
+
+@given(graded_tallies())
+def test_output_determination_follows_two_threshold_rule(case):
+    n, tally = case
+    pairs = MgcState(n, tally.m, (b"x",) * tally.m).output_determination(tally)
+    assert [(p.value, p.grade) for p in pairs] == [
+        _two_threshold_rule(n, column) for column in tally.counts
+    ]
 
 
 # -- defining conditions under adversarial executions -------------------------

@@ -513,17 +513,21 @@ class TestSharedTallies:
         sid = StepId(Phase.MBBA, 0, 1)
         # 3 ones and 2 zeros at every component: split_keeper pushes some recipients
         outgoing = {i: MessageEnvelope(i, sid, (int(i < 3),) * m) for i in range(n - t)}
-        real = netsim.ingest
-        calls = []
-        monkeypatch.setattr(
-            netsim, "ingest", lambda envs, **kw: calls.append(envs) or real(envs, **kw)
-        )
+        calls = {"ingest": [], "merge_tallies": []}
+        for fn, log in calls.items():
+            real = getattr(netsim, fn)
+            monkeypatch.setattr(
+                netsim, fn, lambda *a, real=real, log=log, **kw: log.append(a) or real(*a, **kw)
+            )
         # run_step tallies the honest part, for the adversary and for tallies
         delivery = net.run_step(sid, outgoing)
         tallies = net.tallies(delivery)
         distinct = {tuple(map(id, envs)) for envs in delivery.extras.values()}
         assert 1 < len(distinct) < len(delivery.extras) == n - t, name
-        assert len(calls) == 1 + len(distinct)
+        # one ingest of the honest part, one merge pass per distinct part
+        assert len(calls["ingest"]) == 1
+        assert len(calls["merge_tallies"]) == len(distinct)
+        assert all(base is delivery.tally for base, _ in calls["merge_tallies"])
         assert len({id(tally) for tally in tallies.values()}) == len(distinct)
 
 

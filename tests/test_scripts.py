@@ -1,10 +1,14 @@
-"""The runnable experiments in scripts/, run as subprocesses at tiny sizes."""
+"""The runnable experiments in scripts/, run as subprocesses at tiny sizes, and
+the benchmark pair runner's summary on canned runs."""
 
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import mbasim
 
@@ -52,3 +56,44 @@ def test_bound_experiment(tmp_path):
         summary = json.loads((outdir / f"summary-l{l}.json").read_text())
         assert summary["trials"] == 20 and not summary["failed"]
         assert (outdir / f"summary-l{l}.json.csv").exists()
+
+
+def _canned_run(p50, per_s, digest="d1", failed=0):
+    metrics = {"trial_ms_p50": {"value": p50}, "trials_per_s": {"value": per_s}}
+    return {
+        "result": {"correct": True, "attempted": 100, "failed": failed, "metrics": metrics},
+        "info": {"records_digest": digest},
+    }
+
+
+def test_bench_pairs_summary():
+    path = ROOT / "scripts" / "bench_pairs.py"
+    spec = importlib.util.spec_from_file_location("bench_pairs", path)
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    declared = [{"name": "trial_ms_p50", "better": "lower"},
+                {"name": "trials_per_s", "better": "higher"}]
+    parent = [(2.0, 500), (2.2, 450), (1.8, 520), (2.1, 480)]
+    change = [(1.7, 560), (2.3, 440), (1.6, 530), (1.9, 490)]
+    pairs = [
+        {"order": "parent first" if i % 2 == 0 else "change first",
+         "parent": _canned_run(*p), "change": _canned_run(*c, failed=i == 3)}
+        for i, (p, c) in enumerate(zip(parent, change))
+    ]
+    out = bench_pairs.summarize(pairs, declared)
+    assert out["pairs"] == 4 and out["all_correct"]
+    assert out["order"] == ["parent first", "change first"] * 2
+    assert out["failed_trials"] == {"parent": 0, "change": 1}
+    assert out["attempted_trials"] == {"parent": 400, "change": 400}
+    assert out["records_digest"] == {"parent": ["d1"], "change": ["d1"]}
+    p50 = out["metrics"]["trial_ms_p50"]
+    assert p50["parent"] == [2.0, 2.2, 1.8, 2.1] and p50["change"] == [1.7, 2.3, 1.6, 1.9]
+    assert p50["median_parent"] == pytest.approx(2.05)
+    assert p50["median_change"] == pytest.approx(1.8)
+    assert p50["change_vs_parent"] == pytest.approx(1.8 / 2.05 - 1)
+    # inclusive quartiles of 1.8, 2.0, 2.1, 2.2: 1.95 and 2.125
+    assert p50["parent_iqr"] == pytest.approx(0.175)
+    assert p50["pairs_change_better"] == 3  # lower is better
+    per_s = out["metrics"]["trials_per_s"]
+    assert per_s["pairs_change_better"] == 3  # higher is better
+    assert per_s["median_parent"] == 490 and per_s["median_change"] == 510
