@@ -9,7 +9,8 @@ from mbasim.scenarios import FOUR_NODE_EXAMPLE
 
 def main() -> None:
     config = NetworkConfig(n=4, t=0, m=4, seed=2024)
-    record = run_trial(config, list(FOUR_NODE_EXAMPLE), collect_steps=True)
+    steps = []
+    record = run_trial(config, list(FOUR_NODE_EXAMPLE), on_step=steps.append)
     print("observations:")
     for i, vec in enumerate(FOUR_NODE_EXAMPLE):
         print(f"  node {i}: {tuple(v.decode() for v in vec)}")
@@ -20,7 +21,7 @@ def main() -> None:
         f" steps(raw/with-barrier)={record.comm_steps_raw}/{record.comm_steps_with_barrier}"
     )
     print("per-step message counts:")
-    for step in record.steps:
+    for step in steps:
         pairs = sum(len(step.inbox(r)) for r in step.part_of)
         print(f"  {step.step_id.label()}: {pairs} deliveries")
 

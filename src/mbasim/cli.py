@@ -83,12 +83,28 @@ def load_config(path: Optional[str], overrides: dict) -> ExperimentConfig:
     return ExperimentConfig(**merged)
 
 
+def _dump_rows(rows: list, index: int):
+    """An ``on_step`` callback: appends to ``rows`` the ``--dump-steps`` row
+    of every envelope delivered in trial ``index``'s step."""
+
+    def on_step(step) -> None:
+        label = step.step_id.label()
+        for recipient in step.part_of:
+            for env in step.inbox(recipient):
+                rows.append({
+                    "trial": index, "step_id": label, "sender": env.sender,
+                    "recipient": recipient, "payload_hex": encode_payload(env.payload).hex(),
+                    "final": env.final,
+                })
+
+    return on_step
+
+
 def run_campaign(config: ExperimentConfig, record_sink=None):
     """Execute all trials in index order; returns (records, summary, step rows)."""
     config.validate()
     scenario_name, scenario_params = parse_call(config.scenario)
     adversary_name, adversary_params = parse_call(config.adversary)
-    collect = config.dump_steps is not None
     records = []
     step_rows = []
     for index in range(config.trials):
@@ -108,26 +124,12 @@ def run_campaign(config: ExperimentConfig, record_sink=None):
             net_config,
             inputs,
             adversary,
-            collect_steps=collect,
+            on_step=_dump_rows(step_rows, index) if config.dump_steps is not None else None,
             iteration_cap=config.iteration_cap,
         )
         records.append(record)
         if record_sink is not None:
             record_sink(record)
-        if collect and record.steps:
-            for step in record.steps:
-                for recipient in step.part_of:
-                    for env in step.inbox(recipient):
-                        step_rows.append(
-                            {
-                                "trial": index,
-                                "step_id": step.step_id.label(),
-                                "sender": env.sender,
-                                "recipient": recipient,
-                                "payload_hex": encode_payload(env.payload).hex(),
-                                "final": env.final,
-                            }
-                        )
     summary = summarize(config, records)
     return records, summary, step_rows
 

@@ -11,7 +11,7 @@ returns a transcript record with the runtime monitor verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import BOT, MessageEnvelope, Phase, ambiguous_components, encode_payload, is_value_vector
 from .mbba import MbbaState, grades_to_bits, signatures
@@ -63,8 +63,6 @@ class TrialRecord:
     ambiguous: int
     step_log_hash: str
     outputs: list = field(default=None, repr=False)
-    steps: list = field(default=None, repr=False)
-    finalization_iterations: dict = field(default=None, repr=False)
 
     @property
     def failed(self) -> bool:
@@ -88,6 +86,9 @@ class Node:
     signature (:func:`mbba.signatures`).  ``messages`` is what the members
     send this step, None once halted; ``finals`` is None until the class
     halts, then the members' final messages, which the network replays.
+    ``graded`` is None until MGC's second step, then the graded pairs that
+    MBBA's bits start from and the output resolves against.  ``mgc`` is
+    immutable and ``graded`` is never changed, so a split shares both.
     ``advance(tally)`` steps the class on its members' tally.
     """
 
@@ -95,6 +96,7 @@ class Node:
         self.ids = list(ids)
         self.registry, self.common = registry, common
         self.mgc = MgcState(n, m, tuple(initial))
+        self.graded: Optional[tuple] = None
         self.mbba: Optional[MbbaState] = None
         self.finals: Optional[list] = None
         self.messages = self._sends(STEP1_ID, self.mgc.step1_outgoing())
@@ -105,15 +107,14 @@ class Node:
         return [MessageEnvelope(i, step_id, payload, sig, final) for i, sig in sigs.items()]
 
     def split(self, ids: list) -> "Node":
-        """A copy of this class's state for ``ids``, members that leave it."""
+        """A copy of this class's state for ``ids``, members that leave it.
+        Only the MBBA state is copied; the twin shares the rest."""
         twin = object.__new__(Node)
         vars(twin).update(vars(self), ids=ids)
-        g, st = self.mgc, self.mbba
-        twin.mgc = MgcState(g.n, g.m, g.initial, g.output)
+        st = self.mbba
         if st is not None:
             twin.mbba = MbbaState(
-                st.n, st.m, st.bits[:], st.flags[:], st.iteration, st.step, st.output,
-                st.finalized_at[:],
+                st.n, st.m, st.bits[:], st.flags[:], st.iteration, st.step, st.output
             )
         return twin
 
@@ -128,7 +129,8 @@ class Node:
             self.messages = self._sends(STEP2_ID, mgc.step2_compute(tally))
             return None
         else:
-            bits = grades_to_bits(mgc.output_determination(tally))
+            self.graded = mgc.output_determination(tally)
+            bits = grades_to_bits(self.graded)
             self.mbba = mbba = MbbaState(mgc.n, mgc.m, bits)
         bits = mbba.outgoing()
         if bits is None:  # halted: the finals keep the halting step's id
@@ -142,7 +144,10 @@ def step_classes(classes: list, tallies: dict) -> list:
     """Step each class once on its members' tally (``tallies`` maps every
     member to its tally); returns (class, report) pairs in order of first
     member.  A class whose members hold different tallies splits, one class
-    per tally, and classes in equal states that hold one tally join.
+    per tally, and classes in equal states that hold one tally join.  Equal
+    states have equal MBBA bits and flags, the only state the transitions
+    read besides the tally, and one graded-values object, which the output
+    reads.  In MGC the transitions read only the tally.
     """
     held: dict[int, list] = {}  # id of a tally -> the classes that hold it
     for node in classes:
@@ -160,11 +165,9 @@ def step_classes(classes: list, tallies: dict) -> list:
         if len(group) > 1:
             joined: dict = {}  # state -> the class of lowest first member in it
             for node in sorted(group, key=lambda node: node.ids[0]):
-                # what the next transitions and the output read besides tallies;
-                # classes join only on one graded-values object
                 st = node.mbba
-                state = st and (tuple(st.bits), tuple(st.flags), tuple(st.finalized_at))
-                kept = joined.setdefault((state, id(node.mgc.output)), node)
+                state = st and (tuple(st.bits), tuple(st.flags))
+                kept = joined.setdefault((state, id(node.graded)), node)
                 if kept is not node:
                     kept.ids = sorted(kept.ids + node.ids)
             group = joined.values()
@@ -179,15 +182,16 @@ def run_trial(
     initial_vectors,
     adversary: Optional[Adversary] = None,
     *,
-    collect_steps: bool = False,
+    on_step: Optional[Callable] = None,
     iteration_cap: int = ITERATION_CAP,
 ) -> TrialRecord:
     """One full seeded execution: MGC, MBBA to halting, output determination.
 
     The honest nodes step as classes (:func:`step_classes`).  The monitors
     read one row per class, keyed by its first member, and name every member
-    only in a violation.  With ``collect_steps`` the record's ``steps`` holds
-    every step's :class:`~mbasim.netsim.StepDelivery`.
+    only in a violation.  ``on_step``, when given, is called once per step,
+    in step order, with the step's :class:`~mbasim.netsim.StepDelivery`;
+    the trial keeps no delivery itself.
     """
     n, t, m = config.n, config.t, config.m
     if len(initial_vectors) != n:
@@ -198,7 +202,6 @@ def run_trial(
             raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
 
     net = SyncNetwork(config, adversary, initial_vectors)
-    steps = [] if collect_steps else None
     members: dict[tuple, list] = {}  # the classes start from equal initial vectors
     for i in honest:
         members.setdefault(tuple(initial_vectors[i]), []).append(i)
@@ -218,8 +221,8 @@ def run_trial(
             break
         outgoing = {env.sender: env for node in active for env in node.messages}
         delivery = net.run_step(sid, outgoing)
-        if collect_steps:
-            steps.append(delivery)
+        if on_step is not None:
+            on_step(delivery)
         stepped = step_classes(active, net.tallies(delivery))
         active = [node for node, _ in stepped]
         if not in_mbba:
@@ -258,7 +261,7 @@ def run_trial(
     outputs = []
     if halted_all:  # one output per class, reported for each member
         resolved = {
-            id(node): resolve_output(tuple(p.value for p in node.mgc.output), node.mbba.output)
+            id(node): resolve_output(tuple(p.value for p in node.graded), node.mbba.output)
             for node in halted
         }
         for i in honest:
@@ -293,6 +296,4 @@ def run_trial(
         ambiguous=ambiguous_components(list(members)),
         step_log_hash=net.log_hash(),
         outputs=outputs,
-        steps=steps,
-        finalization_iterations={i: list(node.mbba.finalized_at) for i, node in state_of.items()},
     )

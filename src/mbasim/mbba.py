@@ -67,7 +67,9 @@ class MbbaState:
     """A binary-agreement run.  It holds no node identity or key: ``mba.Node``
     signs and sends the bits it returns.
 
-    Flags are monotone: once ``flags[c]`` is 1, ``bits[c]`` never changes
+    The fields are what the next transition reads.  ``bits`` is this
+    step's bit vector and ``flags`` marks its finalized components; flags
+    are monotone, and once ``flags[c]`` is 1, ``bits[c]`` never changes
     again.  ``iteration`` counts completed three-step loops, and ``step``
     (1 to 3) is the step of the loop that ``apply`` runs next, or the one
     the run halted in.  The run has halted once ``output`` is set.
@@ -80,15 +82,12 @@ class MbbaState:
     iteration: int = 0
     step: int = 1
     output: Optional[tuple] = None
-    finalized_at: list = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if len(self.bits) != self.m:
             raise ValueError("bit vector length mismatch")
         if not self.flags:
             self.flags = [0] * self.m
-        if not self.finalized_at:
-            self.finalized_at = [None] * self.m
 
     # -- wire side ----------------------------------------------------------
 
@@ -132,7 +131,6 @@ class MbbaState:
                 branches.append(_THRESHOLD[bit])
                 if bit == fixed:
                     flags[c] = 1
-                    self.finalized_at[c] = self.iteration
             elif fixed is not None:
                 bits[c] = fixed
                 branches.append(Branch.DEFAULT)

@@ -2,18 +2,18 @@
 
 Every node broadcasts its observed vector, re-broadcasts the componentwise
 super-majority winner (or BOT where none exists), then grades each component
-by how much support the re-broadcast value gathered.  One scan of each
-component's step-2 counts finds its most held non-BOT value; that value
-grades 2 when more than 2n/3 distinct senders hold it, 1 when more than n/3
-do, and otherwise the component is (BOT, 0).
-The state keeps no clock: its caller makes the calls of steps ``STEP1_ID``
-and ``STEP2_ID`` in order.
+by how much support the re-broadcast value gathered.  Both steps read one
+scan rule, :func:`best_value`, the most held non-BOT value of a component
+and its count.  Step 2 relays that value when more than 2n/3 distinct
+senders hold it; grading gives it 2 there, 1 when more than n/3 do, and
+otherwise the component is (BOT, 0).
+The state is immutable and keeps no clock: its caller makes the calls of
+steps ``STEP1_ID`` and ``STEP2_ID`` in order and keeps the graded pairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .core import (
     BOT,
@@ -27,18 +27,6 @@ from .core import (
 
 STEP1_ID = StepId(Phase.MGC, 0, 1)
 STEP2_ID = StepId(Phase.MGC, 0, 2)
-
-
-def _super_majority_value(tally: Tally, c: int, threshold: int):
-    """The unique value at or above threshold, if any.
-
-    Uniqueness is structural: two values cannot both be held by more than
-    2n/3 of at most n distinct senders.
-    """
-    for value, count in tally.counts[c].items():
-        if count >= threshold:
-            return value
-    return BOT
 
 
 def best_value(tally: Tally, c: int) -> tuple:
@@ -61,15 +49,15 @@ def best_value(tally: Tally, c: int) -> tuple:
 UNGRADED = GradedPair(BOT, 0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MgcState:
-    """A graded-consensus run; it holds no node identity (``mba.Node`` sends its
-    payloads).  ``output`` is None until ``output_determination``."""
+    """A graded-consensus run: the node count, the width and the initial
+    vector, fixed at creation.  It holds no node identity and keeps no
+    result; ``mba.Node`` sends its payloads and keeps the graded pairs."""
 
     n: int
     m: int
     initial: tuple
-    output: Optional[tuple] = None
 
     def step1_outgoing(self) -> tuple:
         """The step-1 payload: the unmodified initial vector."""
@@ -78,15 +66,21 @@ class MgcState:
     def step2_compute(self, tally: Tally) -> tuple:
         """The step-2 vector from the step-1 tally.
 
-        Component c becomes the value relayed by more than 2n/3 distinct
-        senders, BOT otherwise.
+        Component c becomes its most held non-BOT value (:func:`best_value`)
+        when more than 2n/3 distinct senders hold it, BOT otherwise.  At most
+        n senders are admitted, so no other value, BOT included, can reach
+        that count too.
         """
         threshold = two_thirds_majority(self.n)
-        return tuple(_super_majority_value(tally, c, threshold) for c in range(self.m))
+        relay = []
+        for c in range(self.m):
+            value, count = best_value(tally, c)
+            relay.append(value if count >= threshold else BOT)
+        return tuple(relay)
 
     def output_determination(self, tally: Tally) -> tuple:
-        """Grade every component from the step-2 tally by the count of its
-        most held non-BOT value (:func:`best_value`)."""
+        """The graded pairs: every component graded from the step-2 tally by
+        the count of its most held non-BOT value (:func:`best_value`)."""
         grade2 = two_thirds_majority(self.n)
         grade1 = one_third_majority(self.n)
         pairs = []
@@ -98,5 +92,4 @@ class MgcState:
                 pairs.append(GradedPair(value, 1))
             else:
                 pairs.append(UNGRADED)
-        self.output = tuple(pairs)
-        return self.output
+        return tuple(pairs)

@@ -3,8 +3,8 @@
 Every honest node steps as its own one-member ``mba.Node`` on its own
 tally, and the monitors read one row per node.  ``run_trial`` steps classes
 of nodes instead (``mba.step_classes``); for the same configuration, inputs
-and adversary the two must produce the same record, outputs, finalization
-iterations and step-log hash (``tests/test_reference.py``).
+and adversary the two must produce the same record, outputs, finalizations
+per step and step-log hash (``tests/test_reference.py``).
 
 The driver does not use ``SyncNetwork.tallies`` or trust the inbox grouping
 of ``run_step``: it rebuilds every honest recipient's adversary part from
@@ -128,7 +128,7 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
     outputs = []
     if halted_all:
         for i in honest:
-            values = tuple(p.value for p in nodes[i].mgc.output)
+            values = tuple(p.value for p in nodes[i].graded)
             out, violation = resolve_output(values, mbba_states[i].output)
             if violation is not None:
                 violations.append(f"node {i}: {violation}")
@@ -163,5 +163,4 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
         ambiguous=ambiguous_components([tuple(initial_vectors[i]) for i in honest]),
         step_log_hash=net.log_hash(),
         outputs=outputs,
-        finalization_iterations={i: list(st.finalized_at) for i, st in mbba_states.items()},
     )

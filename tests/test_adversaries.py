@@ -385,11 +385,12 @@ class TestRandomByzantine:
 
         config = NetworkConfig(7, 2, 4, 0, adversary="random_byzantine")
         inputs = build_inputs("ambiguous", (3,), config, scenario_rng(0))
-        rec = run_trial(config, inputs, build_adversary("random_byzantine"), collect_steps=True)
+        steps = []
+        rec = run_trial(config, inputs, build_adversary("random_byzantine"), on_step=steps.append)
         assert rec.halted and rec.agreement
         seen = defaultdict(set)
         replayed = False
-        for step in rec.steps:
+        for step in steps:
             for recipient in step.part_of:
                 for env in step.inbox(recipient):
                     if env.final and env.sender >= 5:

@@ -1,8 +1,10 @@
 """Composition: grade-to-bit map, output resolution, and full trials."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
-from conftest import build_adversary, run_mgc_phase
+from conftest import build_adversary, run_mgc_phase, spy_finalizations
 from mbasim import mba, mbba, netsim
 from mbasim.core import BOT, GradedPair, Phase, encode_envelope, ingest
 from mbasim.crypto import KeyRegistry, common_string
@@ -147,19 +149,39 @@ class TestRunTrial:
         rec = run_trial(config, inputs, build_adversary("random_byzantine"))
         assert rec.halted and rec.agreement and not rec.monitor_violations
 
-    def test_unambiguous_components_finalize_in_first_iteration(self):
+    def test_unambiguous_components_finalize_in_first_iteration(self, monkeypatch):
         # honest nodes disagree on the first two components only; the other
-        # two must be flagged during iteration 0 at every honest node, no
-        # matter how hard the adversary leans on them
+        # two must be flagged during iteration 0 (MBBA's first three steps)
+        # at every honest node, no matter how hard the adversary leans on them
+        steps = spy_finalizations(monkeypatch)
         for adversary in ("silent", "equivocator", "split_keeper", "random_byzantine"):
             for seed in range(8):
                 config = NetworkConfig(7, 2, 4, seed=seed, adversary=adversary)
                 inputs = build_inputs("ambiguous", (2,), config, scenario_rng(seed))
+                steps.clear()
                 rec = run_trial(config, inputs, build_adversary(adversary))
                 assert rec.halted
-                for node, finalized in rec.finalization_iterations.items():
+                first = {pair for step in steps[:3] for pair in step}
+                for node in config.honest_ids:
                     for c in (2, 3):
-                        assert finalized[c] == 0, (adversary, seed, node, c)
+                        assert (node, c) in first, (adversary, seed, node, c)
+
+    @pytest.mark.parametrize("adversary", ["silent", "split_keeper", "random_byzantine"])
+    def test_on_step_gets_each_delivery_once_in_order(self, adversary, monkeypatch):
+        delivered = []
+        real_run_step = SyncNetwork.run_step
+        monkeypatch.setattr(
+            SyncNetwork, "run_step",
+            lambda net, *args: delivered.append(real_run_step(net, *args)) or delivered[-1],
+        )
+        config = NetworkConfig(7, 2, 4, seed=3, adversary=adversary)
+        inputs = build_inputs("ambiguous", (4,), config, scenario_rng(3))
+        got = []
+        rec = run_trial(config, inputs, build_adversary(adversary), on_step=got.append)
+        assert rec.halted and len(got) == rec.comm_steps_raw
+        assert len(got) == len(delivered) and all(a is b for a, b in zip(got, delivered))
+        step_ids = [step.step_id for step in got]
+        assert all(a < b for a, b in zip(step_ids, step_ids[1:]))
 
 
 class TestPerTallyResults:
@@ -204,7 +226,7 @@ class TestPerTallyResults:
             sent = {e.sender: e.payload for e in adv.last_sent}
             assert sorted(sent) == node.ids == [5, 6]
             assert len({id(p) for p in sent.values()}) == 1
-            assert sent[5] == relays[0] and node.mgc.output == graded[0]
+            assert sent[5] == relays[0] and node.graded == graded[0]
 
     @pytest.mark.parametrize("scenario", [("unanimous", ()), ("ambiguous", (2,))])
     def test_mgc_step_encodes_each_honest_payload_once(self, scenario, monkeypatch):
@@ -261,8 +283,9 @@ class TestNode:
         monkeypatch.setattr(mba, "step_classes", step_classes)
         config = NetworkConfig(7, 2, 4, 0)
         inputs = build_inputs("ambiguous", (4,), config, scenario_rng(0))
-        rec = run_trial(config, inputs, build_adversary("split_keeper"), collect_steps=True)
-        assert rec.halted and any(step.step_id.coin for step in rec.steps)
+        steps = []
+        rec = run_trial(config, inputs, build_adversary("split_keeper"), on_step=steps.append)
+        assert rec.halted and any(step.step_id.coin for step in steps)
         registry, common = KeyRegistry.from_seed(0, 7), common_string(0)
         assert any(len(messages) > 1 for messages in sent)
         for messages in sent:
@@ -271,6 +294,7 @@ class TestNode:
             assert len({id(env.payload) for env in messages}) == 1
 
     def test_split_copies_both_states(self):
+        # the MBBA state is copied; the frozen MGC state and the graded pairs are shared
         registry, common = KeyRegistry.from_seed(0, 4), common_string(0)
         node = Node([0, 1, 2, 3], 4, 2, (b"x", b"y"), registry, common)
         for _ in range(3):  # MGC's two steps, then MBBA step 1 without a supermajority
@@ -278,13 +302,15 @@ class TestNode:
             messages = node.messages if sid.phase == Phase.MGC else node.messages[:2]
             node.advance(ingest(messages, m=2, kind=sid.kind))
         twin = node.split([2, 3])
+        assert twin.mgc is node.mgc and twin.graded is node.graded
+        with pytest.raises(FrozenInstanceError):
+            twin.mgc.initial = (b"z", b"z")
         st = node.mbba
-        before = (node.mgc.output, st.bits[:], st.flags[:], st.finalized_at[:], st.step, st.output)
-        twin.mgc.output = None
+        assert twin.mbba is not st
+        before = (st.bits[:], st.flags[:], st.step, st.output)
         twin.mbba.bits[0] ^= 1
         twin.mbba.flags[1] = 1
-        twin.mbba.finalized_at[1] = 7
         twin.mbba.step = 3
         twin.mbba.output = (0, 0)
-        after = (node.mgc.output, st.bits, st.flags, st.finalized_at, st.step, st.output)
-        assert after == before and node.ids == [0, 1, 2, 3] and twin.ids == [2, 3]
+        assert (st.bits, st.flags, st.step, st.output) == before
+        assert node.ids == [0, 1, 2, 3] and twin.ids == [2, 3]

@@ -33,7 +33,6 @@ class TestStep2:
     def test_three_of_four_reaches_relay(self):
         st_ = MgcState(4, 1, (b"9",))
         assert st_.step2_compute(tally_from([(b"9",), (b"9",), (b"9",), (b"0",)])) == (b"9",)
-        assert st_.output is None
 
     def test_two_two_split_relays_bot(self):
         st_ = MgcState(4, 1, (b"8",))
@@ -113,6 +112,50 @@ def test_output_determination_follows_two_threshold_rule(case):
     assert [(p.value, p.grade) for p in pairs] == [
         _two_threshold_rule(n, column) for column in tally.counts
     ]
+
+
+def _relay_rule(n, column):
+    """The value held by at least floor(2n/3)+1 senders, or BOT when no value
+    is or BOT itself is; at most n votes leave at most one such value."""
+    held = [v for v, k in column.items() if k >= 2 * n // 3 + 1]
+    assert len(held) <= 1
+    return held[0] if held else BOT
+
+
+@st.composite
+def relay_tallies(draw):
+    """n in 4..13 and a hand-built step-1 value tally of at most n votes per
+    component.  A component either leads with one value, BOT included, at
+    the relay threshold, one vote below or one above it, or splits its votes
+    into a tie below the threshold."""
+    n = draw(st.integers(min_value=4, max_value=13))
+    threshold = 2 * n // 3 + 1
+    near = [threshold - 1, threshold, min(threshold + 1, n)]
+    values = [b"a", b"b", b"ab", BOT]
+    m = draw(st.integers(min_value=1, max_value=4))
+    counts = []
+    for _ in range(m):
+        order = draw(st.permutations(values))
+        if draw(st.booleans()):
+            k = draw(st.integers(1, min(threshold - 1, n // 2)))
+            column = {order[0]: k, order[1]: k}
+        else:
+            column = {order[0]: draw(st.sampled_from(near))}
+        left = n - sum(column.values())
+        for v in order[len(column):]:
+            k = draw(st.integers(0, min(left, max(column.values()) - 1)))
+            if k:
+                column[v] = k
+                left -= k
+        counts.append(column)
+    return n, Tally(m, {}, counts)
+
+
+@given(relay_tallies())
+def test_step2_relays_by_one_scan_rule(case):
+    n, tally = case
+    relay = MgcState(n, tally.m, (b"x",) * tally.m).step2_compute(tally)
+    assert list(relay) == [_relay_rule(n, column) for column in tally.counts]
 
 
 # -- defining conditions under adversarial executions -------------------------

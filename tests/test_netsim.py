@@ -202,9 +202,10 @@ class TestDelivery:
 
         config = NetworkConfig(4, 1, 1, 0)
         inputs = build_inputs("split", (), config, scenario_rng(0))
-        rec = run_trial(config, inputs, FinalAtFirstBitStep(), collect_steps=True)
+        steps = []
+        rec = run_trial(config, inputs, FinalAtFirstBitStep(), on_step=steps.append)
         assert rec.halted and rec.agreement and not rec.monitor_violations
-        by_step = {step.step_id: inboxes(step) for step in rec.steps}
+        by_step = {step.step_id: inboxes(step) for step in steps}
         sid2 = StepId(Phase.MBBA, 0, 2)
         assert sid2 in by_step
         for r in range(3):
@@ -306,13 +307,15 @@ class TestOutputShape:
     def test_trials_alike(self, n, t, m, seed, scenario, adversary):
         config = NetworkConfig(n, t, m, seed)
         inputs = build_inputs(*scenario, config, scenario_rng(seed))
+        steps = [[] for _ in SHAPES]
         records = [
-            run_trial(config, inputs, adversary(shape), collect_steps=True) for shape in SHAPES
+            run_trial(config, inputs, adversary(shape), on_step=got.append)
+            for shape, got in zip(SHAPES, steps)
         ]
         fields = [rec.to_json_dict() for rec in records]
         assert fields[0] == fields[1] == fields[2]
         assert fields[0]["halted"] and fields[0]["agreement"]
-        steps = [[(step.step_id, inboxes(step)) for step in rec.steps] for rec in records]
+        steps = [[(step.step_id, inboxes(step)) for step in got] for got in steps]
         assert steps[0] == steps[1] == steps[2]
         assert [rec.outputs for rec in records[1:]] == [records[0].outputs] * 2
 
@@ -384,13 +387,12 @@ class TestDeterminism:
     def test_collected_step_records_equal_across_runs(self):
         config = NetworkConfig(4, 1, 2, 9, adversary="equivocator")
         inputs = build_inputs("split", (2,), config, scenario_rng(9))
-        runs = [
-            run_trial(config, inputs, build_adversary("equivocator"), collect_steps=True)
-            for _ in range(2)
-        ]
-        assert runs[0].steps is not None
-        assert [s.step_id for s in runs[0].steps] == [s.step_id for s in runs[1].steps]
-        for a, b in zip(runs[0].steps, runs[1].steps):
+        runs = [[], []]
+        for steps in runs:
+            run_trial(config, inputs, build_adversary("equivocator"), on_step=steps.append)
+        assert runs[0]
+        assert [s.step_id for s in runs[0]] == [s.step_id for s in runs[1]]
+        for a, b in zip(runs[0], runs[1]):
             assert inboxes(a) == inboxes(b)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine
-from conftest import build_adversary
+from conftest import build_adversary, spy_finalizations
 from mbasim import mba
 from mbasim.adversaries import SplitKeeperAdversary
 from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId
@@ -109,17 +109,25 @@ def trials(draw, adversary):
 
 
 def both(config, inputs, adversary, cap):
-    classes = run_trial(config, inputs, make(*adversary), iteration_cap=cap)
-    per_node = reference_engine.run_trial_per_node(
-        config, inputs, make(*adversary), iteration_cap=cap
-    )
+    """The records of ``run_trial`` and of the per-node reference; asserts
+    that every MBBA step finalized the same (node, component) pairs in both."""
+    with pytest.MonkeyPatch.context() as patch:
+        class_steps = spy_finalizations(patch)
+        classes = run_trial(config, inputs, make(*adversary), iteration_cap=cap)
+        node_steps = []
+        real = reference_engine.newly_finalized
+        patch.setattr(reference_engine, "newly_finalized",
+                      lambda *args: node_steps.append(real(*args)) or node_steps[-1])
+        per_node = reference_engine.run_trial_per_node(
+            config, inputs, make(*adversary), iteration_cap=cap
+        )
+    assert class_steps == [sorted(step) for step in node_steps]
     return classes, per_node
 
 
 def assert_same(classes, per_node):
     assert classes.to_json_dict() == per_node.to_json_dict()
     assert classes.outputs == per_node.outputs
-    assert classes.finalization_iterations == per_node.finalization_iterations
     assert classes.step_log_hash == per_node.step_log_hash
 
 
