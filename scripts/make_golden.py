@@ -2,9 +2,10 @@
 """Write or check the golden table of seeded trial fingerprints.
 
 Each row pins one trial, (n, t, m, adversary, scenario, seed), to its
-``step_log_hash``, its ``output_vector_hex`` and ``record_sha256``, the
-sha256 of the trial's ``--out`` line.  A change that keeps every delivered
-message and every record byte leaves the table unchanged, so the table
+``step_log_hash``, its ``output_vector_hex``, ``record_sha256``, the sha256
+of the trial's ``--out`` line, and ``dump_sha256``, the sha256 of the
+trial's ``--dump-steps`` lines.  A change that keeps every delivered message
+and every record and dump byte leaves the table unchanged, so the table
 guards refactors and hot-path rewrites of the engine.
 
     PYTHONPATH=src python3 scripts/make_golden.py            # rewrite the table
@@ -26,7 +27,7 @@ TABLE = Path(__file__).resolve().parent.parent / "tests" / "data" / "golden_hash
 ADVERSARIES = ("silent", "crash_after(3)", "equivocator", "split_keeper", "random_byzantine")
 SEEDS = tuple(range(5))
 KEYS = ("n", "t", "m", "adversary", "scenario", "seed")
-FIELDS = ("step_log_hash", "output_vector_hex", "record_sha256")
+FIELDS = ("step_log_hash", "output_vector_hex", "record_sha256", "dump_sha256")
 
 
 def cells():
@@ -40,13 +41,24 @@ def cells():
     yield 4, 0, 4, "silent", "four-node-example"
 
 
+def _sha256_lines(rows) -> str:
+    """sha256 of ``rows`` written one per line, as ``write_outputs`` writes them."""
+    h = hashlib.sha256()
+    for row in rows:
+        h.update((json.dumps(row, sort_keys=True) + "\n").encode())
+    return h.hexdigest()
+
+
 def fingerprints(n, t, m, adversary, scenario) -> list:
     """The cell's rows: trials ``SEEDS`` of its ``mba-sim`` campaign from seed 0."""
     config = ExperimentConfig(
         nodes=n, byzantine=t, components=m, adversary=adversary, scenario=scenario,
-        trials=len(SEEDS), seed=SEEDS[0],
+        trials=len(SEEDS), seed=SEEDS[0], dump_steps="",
     )
-    records, _, _ = run_campaign(config)
+    records, _, step_rows = run_campaign(config)
+    dumps = [[] for _ in records]
+    for row in step_rows:
+        dumps[row["trial"]].append(row)
     return [
         {
             **dict(zip(KEYS, (n, t, m, adversary, scenario, record.seed))),
@@ -55,8 +67,9 @@ def fingerprints(n, t, m, adversary, scenario) -> list:
             "record_sha256": hashlib.sha256(
                 json.dumps(record.to_json_dict(), sort_keys=True).encode()
             ).hexdigest(),
+            "dump_sha256": _sha256_lines(dump),
         }
-        for record in records
+        for record, dump in zip(records, dumps)
     ]
 
 
