@@ -13,7 +13,6 @@ from .core import (
     BitTally,
     GradedPair,
     MessageEnvelope,
-    PayloadKind,
     Phase,
     StepId,
     Tally,
@@ -49,7 +48,6 @@ __all__ = [
     "MessageEnvelope",
     "MgcState",
     "NetworkConfig",
-    "PayloadKind",
     "Phase",
     "STRATEGIES",
     "StepId",

@@ -25,10 +25,9 @@ run.  Available strategies:
 
 from __future__ import annotations
 
-from .core import BOT, MessageEnvelope, PayloadKind, merge_tallies, two_thirds_majority
+from .core import BOT, MessageEnvelope, Phase, merge_tallies, two_thirds_majority
 from .crypto import digest
 from .mba import Node, step_classes
-from .mbba import signature_check
 from .mgc import best_value
 from .netsim import Adversary, AdversaryView, _restamp
 
@@ -40,7 +39,7 @@ class EquivocatorAdversary(Adversary):
 
     def act(self, view: AdversaryView):
         m = self.config.m
-        if view.kind == PayloadKind.BITS:
+        if view.step_id.phase == Phase.MBBA:
             variants = [(0,) * m, (1,) * m]
         else:
             payloads = [env.payload for env in view.honest_envelopes]
@@ -91,14 +90,11 @@ class CrashAfterAdversary(Adversary):
 
     def end_step(self, view: AdversaryView) -> None:
         """Step the running nodes on their inbox: this adversary's own sends
-        merged onto the engine's tally of the honest envelopes."""
+        merged onto the engine's tally of the honest envelopes, by the rules
+        that tally keeps."""
         if self.steps_sent >= self.crash_step or all(n.messages is None for n in self.nodes):
             return
-        tally = merge_tallies(
-            view.tally,
-            self.last_sent,
-            signature_check=signature_check(self.registry, self.common, view.step_id),
-        )
+        tally = merge_tallies(view.tally, self.last_sent)
         tallies = dict.fromkeys(self.corrupt_ids, tally)
         self.nodes = [node for node, _ in step_classes(self.nodes, tallies)]
 
@@ -141,7 +137,7 @@ class RandomByzantineAdversary(Adversary):
         random = rng.random
         m = self.config.m
         sid = view.step_id
-        bits = view.kind == PayloadKind.BITS
+        bits = sid.phase == Phase.MBBA
         coin = sid.coin
         sigs = self.signatures(sid)
         sends: dict[int, list] = {}
@@ -338,7 +334,7 @@ class SplitKeeperAdversary(Adversary):
     def act(self, view: AdversaryView):
         if not view.honest_envelopes:
             return []
-        if view.kind == PayloadKind.VALUES:
+        if view.step_id.phase == Phase.MGC:
             return self._act_values(view)
         return self._act_bits(view)
 

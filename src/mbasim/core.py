@@ -5,10 +5,13 @@ and is a legal vector component but never a member of the application value
 set.  Bit vectors are tuples of 0/1 ints.  A :class:`Tally` counts, per
 component, how many distinct admissible senders voted for each value during
 one synchronous step.  Admissibility applies the discarding rules: malformed
-messages are dropped, exact duplicates collapse into one, and a sender caught
-sending two different messages in the same step is removed from the count
-entirely.  Equivocation is judged per step only; a sender may legitimately
-change its message between steps.
+messages are dropped (value vectors in an MGC step, bit vectors in an MBBA
+step), in the coin step a fresh message without its sender's signature is
+dropped, exact duplicates collapse into one, and a sender caught sending two
+different messages in the same step is removed from the count entirely.
+Equivocation is judged per step only; a sender may legitimately change its
+message between steps.  A tally keeps its step's rules, its phase and its
+signature check, so every part merged onto it is admitted by the same rules.
 """
 
 from __future__ import annotations
@@ -31,11 +34,6 @@ class Phase(IntEnum):
     MBBA = 1
 
 
-class PayloadKind(IntEnum):
-    VALUES = 0
-    BITS = 1
-
-
 class StepId(NamedTuple):
     """Position of a step in the global synchronous schedule.
 
@@ -51,11 +49,6 @@ class StepId(NamedTuple):
     def label(self) -> str:
         name = "mgc" if self.phase == Phase.MGC else "mbba"
         return f"{name}:{self.iteration}:{self.step}"
-
-    @property
-    def kind(self) -> PayloadKind:
-        """What the step's messages carry: values in MGC, bits in MBBA."""
-        return PayloadKind.VALUES if self.phase == Phase.MGC else PayloadKind.BITS
 
     @property
     def coin(self) -> bool:
@@ -127,15 +120,16 @@ def is_value_vector(payload: tuple, m: int) -> bool:
     return len(payload) == m and set(map(type, payload)) <= _VALUE_TYPES
 
 
-def well_formed(env: MessageEnvelope, m: int, kind: PayloadKind) -> bool:
-    """Formatting check for one envelope against the step's expectations.
+def well_formed(env: MessageEnvelope, m: int, phase: Phase) -> bool:
+    """Formatting check for one envelope of a ``phase`` step: m values in
+    MGC, m bits in MBBA.
 
     A final envelope must carry a bit vector; in particular it can never be
-    well-formed during a value-carrying step.
+    well-formed during an MGC step.
     """
     if not isinstance(env.payload, tuple):
         return False
-    if kind == PayloadKind.BITS:
+    if phase == Phase.MBBA:
         return is_bit_vector(env.payload, m)
     if env.final:
         return False
@@ -145,19 +139,24 @@ def well_formed(env: MessageEnvelope, m: int, kind: PayloadKind) -> bool:
 class Tally:
     """Distinct-sender counts per (value, component) for one step.
 
-    A VALUES tally keeps one dict per component, value -> count.  A BITS
+    An MGC tally keeps one dict per component, value -> count.  An MBBA
     tally is a :class:`BitTally`, which stores the counts as two int lists.
-    ``kind`` is what the counted payloads carry.  Nodes that share a tally
-    share its results by stepping as one class.
+    ``phase`` says what the counted payloads carry, and ``signature_check``
+    is the step's admission check (None: none); :func:`merge_tallies` admits
+    further parts by both.  Nodes that share a tally share its results by
+    stepping as one class.
     """
 
-    __slots__ = ("m", "admitted", "counts")
-    kind = PayloadKind.VALUES
+    __slots__ = ("m", "admitted", "counts", "signature_check")
+    phase = Phase.MGC
 
-    def __init__(self, m: int, admitted: dict[int, MessageEnvelope], counts: list[dict]):
+    def __init__(
+        self, m: int, admitted: dict[int, MessageEnvelope], counts: list[dict], signature_check=None
+    ):
         self.m = m
         self.admitted = admitted
         self.counts = counts
+        self.signature_check = signature_check
 
     def count(self, value, c: int) -> int:
         """Number of distinct admissible senders whose component c equals value."""
@@ -173,18 +172,19 @@ class Tally:
 
 
 class BitTally(Tally):
-    """A BITS tally: ``zeros[c]`` and ``ones[c]`` count the votes for 0 and 1
-    at component c.  ``coin`` keeps the coin derived from a coin-step tally
+    """An MBBA tally: ``zeros[c]`` and ``ones[c]`` count the votes for 0 and
+    1 at component c.  ``coin`` keeps the coin derived from a coin-step tally
     (``MbbaState._coin``), so every class that holds the tally reads one."""
 
     __slots__ = ("zeros", "ones", "coin")
-    kind = PayloadKind.BITS
+    phase = Phase.MBBA
 
-    def __init__(self, m: int, admitted: dict[int, MessageEnvelope], zeros: list, ones: list):
+    def __init__(self, m: int, admitted: dict, zeros: list, ones: list, signature_check=None):
         self.m = m
         self.admitted = admitted
         self.zeros = zeros
         self.ones = ones
+        self.signature_check = signature_check
         self.coin = None
 
     def count(self, value, c: int) -> int:
@@ -203,12 +203,12 @@ class BitTally(Tally):
 _CONFLICT = object()
 
 
-def _admit(envelopes, m: int, kind: PayloadKind, signature_check) -> dict:
+def _admit(envelopes, m: int, phase: Phase, signature_check) -> dict:
     """The discarding rules: sender -> its one admissible envelope, in
     first-seen order."""
     by_sender: dict[int, object] = {}
     for env in envelopes:
-        if not well_formed(env, m, kind):
+        if not well_formed(env, m, phase):
             continue
         if signature_check is not None and not env.final and not signature_check(env):
             continue
@@ -227,9 +227,9 @@ def _ones(admitted: dict, m: int) -> list:
     return list(map(sum, zip(*[e.payload for e in admitted.values()]))) or [0] * m
 
 
-def _bit_tally(m: int, admitted: dict, ones: list) -> BitTally:
+def _bit_tally(m: int, admitted: dict, ones: list, signature_check) -> BitTally:
     voters = len(admitted)
-    return BitTally(m, admitted, [voters - k for k in ones], ones)
+    return BitTally(m, admitted, [voters - k for k in ones], ones, signature_check)
 
 
 def _add_values(counts: list, admitted: dict) -> list:
@@ -249,49 +249,46 @@ def ingest(
     step_messages: Iterable[MessageEnvelope],
     *,
     m: int,
-    kind: PayloadKind,
+    phase: Phase,
     signature_check: Optional[Callable[[MessageEnvelope], bool]] = None,
 ) -> Tally:
-    """Build a Tally from one step's inbox, applying the discarding rules.
+    """Build a Tally from one step's inbox, applying the discarding rules of
+    a ``phase`` step.
 
-    All bad input is absorbed rather than raised: wrong-length or wrong-kind
-    payloads are dropped, and, when ``signature_check`` is given (MBBA step
-    3), a fresh message whose signature does not verify is dropped too.
-    Final (replayed) messages are exempt from the signature requirement but
-    never contribute a signature.  The node's own message participates like
-    any other.  :func:`merge_tallies` admits a further sender group by the
-    same rules and adds it onto a tally.
+    All bad input is absorbed rather than raised: wrong-length payloads and
+    payloads of the other phase are dropped, and, when ``signature_check``
+    is given (MBBA step 3), a fresh message whose signature does not verify
+    is dropped too.  Final (replayed) messages are exempt from the signature
+    requirement but never contribute a signature.  The node's own message
+    participates like any other.  The tally keeps m, the phase and the check,
+    and :func:`merge_tallies` admits a further sender group by them.
     """
-    admitted = _admit(step_messages, m, kind, signature_check)
-    if kind == PayloadKind.BITS:
-        return _bit_tally(m, admitted, _ones(admitted, m))
-    return Tally(m, admitted, _add_values([{} for _ in range(m)], admitted))
+    admitted = _admit(step_messages, m, phase, signature_check)
+    if phase == Phase.MBBA:
+        return _bit_tally(m, admitted, _ones(admitted, m), signature_check)
+    return Tally(m, admitted, _add_values([{} for _ in range(m)], admitted), signature_check)
 
 
-def merge_tallies(
-    base: Tally,
-    envelopes: Iterable[MessageEnvelope],
-    *,
-    signature_check: Optional[Callable[[MessageEnvelope], bool]] = None,
-) -> Tally:
+def merge_tallies(base: Tally, envelopes: Iterable[MessageEnvelope]) -> Tally:
     """``base`` plus the envelopes of a sender-disjoint group, in one pass.
 
-    The envelopes are admitted by :func:`ingest`'s discarding rules, with m
-    and the kind read from ``base``, and their votes are added onto a copy
-    of ``base``'s counts; ``base`` is left as it was.  The simulator tallies
-    the shared broadcast picture once and merges each adversary part onto
-    it.  An admitted sender that ``base`` already counts raises ValueError,
-    since duplicate and equivocation detection cannot see across the groups.
+    The envelopes are admitted by :func:`ingest`'s discarding rules, with m,
+    the phase and the signature check read from ``base``, and their votes
+    are added onto a copy of ``base``'s counts; ``base`` is left as it was,
+    and the result keeps its rules.  The simulator tallies the shared
+    broadcast picture once and merges each adversary part onto it.  An
+    admitted sender that ``base`` already counts raises ValueError, since
+    duplicate and equivocation detection cannot see across the groups.
     """
-    m, kind = base.m, base.kind
-    added = _admit(envelopes, m, kind, signature_check)
+    m, phase, check = base.m, base.phase, base.signature_check
+    added = _admit(envelopes, m, phase, check)
     if not base.admitted.keys().isdisjoint(added):
         overlap = sorted(base.admitted.keys() & added.keys())
         raise ValueError(f"tally sender groups overlap: {overlap}")
     admitted = {**base.admitted, **added}
-    if kind == PayloadKind.BITS:
-        return _bit_tally(m, admitted, list(map(add, base.ones, _ones(added, m))))
-    return Tally(m, admitted, _add_values(list(map(dict, base.counts)), added))
+    if phase == Phase.MBBA:
+        return _bit_tally(m, admitted, list(map(add, base.ones, _ones(added, m))), check)
+    return Tally(m, admitted, _add_values(list(map(dict, base.counts)), added), check)
 
 
 def c_agreement(honest_vectors: list, c: int) -> bool:

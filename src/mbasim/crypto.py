@@ -83,16 +83,16 @@ def coin_seed(signatures: Iterable[bytes]) -> bytes:
     return digest(min(digests))
 
 
-def derive_coin(valid_sigs, m: int) -> tuple:
+def derive_coin(signatures: Iterable[bytes], m: int) -> tuple:
     """Shared coin bits for one Coin-Genuinely-Flipped step.
 
-    ``valid_sigs`` is the non-empty collection of (sender, signature) pairs
-    that verified against the step's signing message; an honest node always
-    holds at least its own.  The seed is the hash of the minimal signature
-    digest, and bits come out MSB-first, extended counter-mode when m > 256.
-    Invariant under permutation and duplication of the input pairs.
+    ``signatures`` is the non-empty collection of signatures that verified
+    against the step's signing message; an honest node always holds at least
+    its own.  The seed is the hash of the minimal signature digest, and bits
+    come out MSB-first, extended counter-mode when m > 256.  Invariant under
+    permutation and duplication of the signatures.
     """
-    seed = coin_seed({sig for _, sig in valid_sigs})
+    seed = coin_seed(signatures)
     bits: list[int] = []
     block = seed
     counter = 0

@@ -152,7 +152,7 @@ class MbbaState:
         object and kept on it, for every class that holds that tally."""
         if tally.coin is None:
             sigs = [
-                (e.sender, e.signature)
+                e.signature
                 for e in tally.admitted.values()
                 if e.signature is not None and not e.final
             ]

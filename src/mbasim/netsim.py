@@ -15,8 +15,10 @@ signature, so they never enter a coin step's signature set.
 
 A delivery is the honest part, which every honest recipient receives and
 which is tallied once before the adversary acts, plus the distinct adversary
-parts.  Each distinct part costs one merge pass, which admits its envelopes
-and adds them onto the honest part's tally (:meth:`SyncNetwork.tallies`).
+parts.  That tally fixes the step's rules (its phase and, in the coin step,
+its signature check); each distinct part costs one merge pass, which admits
+its envelopes by those rules and adds them onto it
+(:meth:`SyncNetwork.tallies`).
 An adversary's list output is that list for every recipient.  Each list is
 checked and encoded where its part is built; recipients without replays
 that share a list or tuple share its part.  Checked envelopes that
@@ -37,7 +39,7 @@ from typing import Optional
 
 from .core import (
     MessageEnvelope,
-    PayloadKind,
+    Phase,
     StepId,
     Tally,
     encode_envelope,
@@ -98,7 +100,9 @@ class AdversaryView:
 
     ``honest_envelopes`` is the effective broadcast picture of the step:
     fresh messages of active honest nodes plus replays of halted ones.
-    ``tally`` is the engine's tally of them by the step's rules.
+    ``tally`` is the engine's tally of them by the step's rules, which it
+    keeps: :func:`merge_tallies` admits a part onto it by the same rules.
+    ``step_id.phase`` says whether the step carries values or bits.
     """
 
     step_id: StepId
@@ -106,10 +110,6 @@ class AdversaryView:
     honest_ids: list
     active_honest: list
     tally: Tally
-
-    @property
-    def kind(self) -> PayloadKind:
-        return self.step_id.kind
 
 
 class Adversary:
@@ -293,7 +293,7 @@ class SyncNetwork:
 
         m = self.config.m
         check = signature_check(self.registry, self.common, step_id)
-        tally = ingest(shared, m=m, kind=step_id.kind, signature_check=check)
+        tally = ingest(shared, m=m, phase=step_id.phase, signature_check=check)
         view = AdversaryView(step_id, shared, self.honest_ids, sorted(honest_outgoing), tally)
         sends = self.adversary.act(view)
         if not isinstance(sends, dict):  # a list is the same list for every recipient
@@ -324,7 +324,7 @@ class SyncNetwork:
                 parts.append([env for env, _ in out])
             # A final delivered now is replayed from the next step on.
             for env in parts[k]:
-                if env.final and env.sender not in stars and well_formed(env, m, PayloadKind.BITS):
+                if env.final and env.sender not in stars and well_formed(env, m, Phase.MBBA):
                     stars[env.sender] = env
             if plain:
                 by_sent[id(sent)] = k, stars
@@ -369,21 +369,18 @@ class SyncNetwork:
     def tallies(self, delivery: StepDelivery) -> dict:
         """Per-recipient tallies: one per distinct inbox, shared by its recipients.
 
-        The step id sets the rules: values in MGC, bits in MBBA, and in the
-        coin step a fresh message counts only with its sender's signature
-        (:func:`mbba.signature_check`).  ``run_step`` tallies the shared part
-        once (:func:`ingest`); each non-empty adversary part is admitted and
-        added onto that tally in one :func:`merge_tallies` pass.  ``run_step``
-        groups recipients by the encodings of their parts and rejects the
-        adversary output on which equal encodings could tally differently, so
-        one tally per part is the tally of each recipient.
+        ``run_step`` tallies the shared part once (:func:`ingest`) by the
+        step's rules: values in MGC, bits in MBBA, and in the coin step a
+        fresh message counts only with its sender's signature
+        (:func:`mbba.signature_check`).  That tally keeps the rules, and each
+        non-empty adversary part is admitted by them and added onto it in one
+        :func:`merge_tallies` pass.  ``run_step`` groups recipients by the
+        encodings of their parts and rejects the adversary output on which
+        equal encodings could tally differently, so one tally per part is the
+        tally of each recipient.
         """
         base = delivery.tally
-        check = signature_check(self.registry, self.common, delivery.step_id)
-        by_part = [
-            merge_tallies(base, part, signature_check=check) if part else base
-            for part in delivery.parts
-        ]
+        by_part = [merge_tallies(base, part) if part else base for part in delivery.parts]
         return {r: by_part[k] for r, k in delivery.part_of.items()}
 
 

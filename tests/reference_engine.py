@@ -14,7 +14,6 @@ with one ``ingest``.
 """
 
 from mbasim.core import (
-    PayloadKind,
     Phase,
     ambiguous_components,
     encode_envelope,
@@ -45,7 +44,7 @@ def adversary_part(sends, recipient, bound, step_id, m):
     part += [env for env in sent if env.sender not in bound]
     part.sort(key=encode_envelope)
     for env in part:
-        if env.final and env.sender not in bound and well_formed(env, m, PayloadKind.BITS):
+        if env.final and env.sender not in bound and well_formed(env, m, Phase.MBBA):
             bound[env.sender] = env
     return part
 
@@ -92,7 +91,7 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
             assert list(map(encode_envelope, part)) == list(map(encode_envelope, delivered)), r
         check = signature_check(net.registry, net.common, sid)
         tallies = {
-            i: ingest(delivery.inbox(i), m=m, kind=sid.kind, signature_check=check)
+            i: ingest(delivery.inbox(i), m=m, phase=sid.phase, signature_check=check)
             for i in active
         }
         branch_reports = {i: node.advance(tallies[i]) for i, node in active.items()}

@@ -22,7 +22,7 @@ from mbasim.analysis import (
     coin_game_oracle,
     coin_game_pmf,
 )
-from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId, ingest, merge_tallies
+from mbasim.core import BOT, MessageEnvelope, Phase, StepId, ingest, merge_tallies
 from mbasim.mba import run_trial
 from mbasim.netsim import NetworkConfig
 from mbasim.scenarios import (
@@ -270,7 +270,7 @@ def _recount_oracle(envelopes, m):
 
     per_sender = {}
     for env in envelopes:
-        if not well_formed(env, m, PayloadKind.VALUES):
+        if not well_formed(env, m, Phase.MGC):
             continue
         per_sender.setdefault(env.sender, set()).add((env.payload, env.final, env.signature))
     counts = [dict() for _ in range(m)]
@@ -314,12 +314,12 @@ def test_c8_tally_semantics():
         self_env = MessageEnvelope(0, sid, tuple(rng.choice(alphabet) for _ in range(m)))
         rng.shuffle(envelopes)
         inbox = [e for e in envelopes if e.sender != 0] + [self_env]
-        tally = ingest(inbox, m=m, kind=PayloadKind.VALUES)
+        tally = ingest(inbox, m=m, phase=Phase.MGC)
         admitted, counts = _recount_oracle(inbox, m)
         if tally.senders() != admitted or tally.counts != counts:
             failures.append(case)
         # the low senders tallied, the high ones merged on top
-        low = ingest([e for e in inbox if e.sender < n // 2], m=m, kind=PayloadKind.VALUES)
+        low = ingest([e for e in inbox if e.sender < n // 2], m=m, phase=Phase.MGC)
         merged = merge_tallies(low, [e for e in inbox if e.sender >= n // 2])
         if merged.senders() != admitted or merged.counts != counts:
             failures.append((case, "merge"))

@@ -14,7 +14,7 @@ from mbasim.adversaries import (
     _random_byte,
     make_adversary,
 )
-from mbasim.core import BOT, BitTally, MessageEnvelope, PayloadKind, Phase, StepId, ingest
+from mbasim.core import BOT, BitTally, MessageEnvelope, Phase, StepId, ingest
 from mbasim.crypto import KeyPair, signing_message
 from mbasim.mba import Node, run_trial
 from mbasim.mbba import signature_check, signatures
@@ -200,7 +200,7 @@ def build_view(config, step, bits_per_node, registry, common, iteration=0):
         honest_envelopes=envs,
         honest_ids=config.honest_ids,
         active_honest=sorted(bits_per_node),
-        tally=ingest(envs, m=config.m, kind=PayloadKind.BITS),
+        tally=ingest(envs, m=config.m, phase=Phase.MBBA),
     )
 
 
@@ -218,7 +218,7 @@ class TestSplitKeeper:
             out[r] = ingest(
                 view.honest_envelopes + sends.get(r, []),
                 m=1,
-                kind=PayloadKind.BITS,
+                phase=Phase.MBBA,
                 signature_check=check,
             )
         return out
@@ -286,7 +286,7 @@ class TestEquivocator:
             honest_envelopes=envs,
             honest_ids=[0, 1, 2],
             active_honest=[0, 1, 2],
-            tally=ingest(envs, m=2, kind=PayloadKind.BITS),
+            tally=ingest(envs, m=2, phase=Phase.MBBA),
         )
         sends = adv.act(view)
         assert sends[0][0].payload != sends[1][0].payload
@@ -325,7 +325,7 @@ class TestSharedEnvelopes:
             honest_envelopes=envs,
             honest_ids=list(range(5)),
             active_honest=list(range(5)),
-            tally=ingest(envs, m=3, kind=PayloadKind.VALUES),
+            tally=ingest(envs, m=3, phase=Phase.MGC),
         )
 
     @pytest.mark.parametrize("step", [1, 2])
@@ -441,7 +441,7 @@ class RandrangeByzantine(RandomByzantineAdversary):
                 if rng.random() < 0.05:
                     length = max(1, m + rng.choice((-1, 1)))
                 wrong_kind = rng.random() < 0.05
-                if (view.kind == PayloadKind.BITS) != wrong_kind:
+                if (view.step_id.phase == Phase.MBBA) != wrong_kind:
                     payload = tuple(rng.randrange(2) for _ in range(length))
                 else:
                     payload = tuple(
@@ -457,14 +457,14 @@ class RandrangeByzantine(RandomByzantineAdversary):
                         )
                     elif sig_roll < 0.90:
                         sig = rng.randbytes(32)
-                final = view.kind == PayloadKind.BITS and rng.random() < 0.02
+                final = view.step_id.phase == Phase.MBBA and rng.random() < 0.02
                 envs.append(
                     MessageEnvelope(z, view.step_id, payload, signature=sig, final=final)
                 )
                 if rng.random() < 0.05 and envs:
                     envs.append(envs[-1])  # exact duplicate, collapses to one
                 if rng.random() < 0.05:
-                    if view.kind == PayloadKind.BITS:
+                    if view.step_id.phase == Phase.MBBA:
                         alt = tuple(rng.randrange(2) for _ in range(m))
                     else:
                         alt = tuple(bytes([rng.randrange(256)]) for _ in range(m))
@@ -521,7 +521,7 @@ def test_act_matches_randrange_reference(n, m, seed, steps):
             honest_envelopes=[],
             honest_ids=config.honest_ids,
             active_honest=config.honest_ids,
-            tally=ingest([], m=m, kind=sid.kind),
+            tally=ingest([], m=m, phase=sid.phase),
         )
         got, expected = ours.act(view), ref.act(view)
         assert list(got) == list(expected)

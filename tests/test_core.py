@@ -13,7 +13,6 @@ from mbasim.core import (
     BOT,
     GradedPair,
     MessageEnvelope,
-    PayloadKind,
     Phase,
     StepId,
     c_agreement,
@@ -64,38 +63,38 @@ class TestThresholds:
 
 class TestIngest:
     def test_empty_tally(self):
-        tally = ingest([], m=2, kind=PayloadKind.BITS)
+        tally = ingest([], m=2, phase=Phase.MBBA)
         assert tally.count(0, 0) == 0 and tally.count(1, 1) == 0
         assert tally.senders() == set()
 
     def test_contrasting_messages_remove_sender(self):
         msgs = [bit_env(3, (0,)), bit_env(3, (1,))]
-        tally = ingest(msgs, m=1, kind=PayloadKind.BITS)
+        tally = ingest(msgs, m=1, phase=Phase.MBBA)
         assert tally.count(0, 0) == 0
         assert tally.count(1, 0) == 0
         assert 3 not in tally.senders()
 
     def test_identical_duplicates_count_once(self):
         msgs = [bit_env(3, (1,)), bit_env(3, (1,))]
-        tally = ingest(msgs, m=1, kind=PayloadKind.BITS)
+        tally = ingest(msgs, m=1, phase=Phase.MBBA)
         assert tally.count(1, 0) == 1
 
     def test_self_message_included(self):
         mine = bit_env(0, (1, 0))
-        tally = ingest([bit_env(1, (1, 1)), mine], m=2, kind=PayloadKind.BITS)
+        tally = ingest([bit_env(1, (1, 1)), mine], m=2, phase=Phase.MBBA)
         assert tally.count(1, 0) == 2
         assert tally.count(0, 1) == 1
         assert tally.senders() == {0, 1}
 
     def test_unanimous_value_count(self):
         msgs = [val_env(i, (b"9",)) for i in range(4)]
-        tally = ingest(msgs, m=1, kind=PayloadKind.VALUES)
+        tally = ingest(msgs, m=1, phase=Phase.MGC)
         assert tally.count(b"9", 0) == 4
 
     def test_three_one_split_matches_four_node_column(self):
         # first column of the canonical 4-observer example
         msgs = [val_env(0, (b"9",)), val_env(1, (b"9",)), val_env(2, (b"9",)), val_env(3, (b"0",))]
-        tally = ingest(msgs, m=1, kind=PayloadKind.VALUES)
+        tally = ingest(msgs, m=1, phase=Phase.MGC)
         assert tally.count(b"9", 0) == 3
         assert tally.count(b"0", 0) == 1
 
@@ -108,24 +107,24 @@ class TestIngest:
             val_env(2, (b"z", b"b")),
             val_env(3, (b"a", b"b")),
         ]
-        tally = ingest(msgs, m=2, kind=PayloadKind.VALUES)
+        tally = ingest(msgs, m=2, phase=Phase.MGC)
         for c in range(2):
             assert tally.total(c) == 3
         assert tally.count(b"a", 0) == 3
         assert tally.count(b"z", 0) == 0
 
     def test_wrong_length_payload_discarded(self):
-        tally = ingest([bit_env(0, (1, 1)), bit_env(1, (1,))], m=1, kind=PayloadKind.BITS)
+        tally = ingest([bit_env(0, (1, 1)), bit_env(1, (1,))], m=1, phase=Phase.MBBA)
         assert tally.senders() == {1}
 
     def test_wrong_kind_discarded(self):
         msgs = [bit_env(0, (1,)), val_env(1, (b"x",), sid=SID)]
-        tally = ingest(msgs, m=1, kind=PayloadKind.BITS)
+        tally = ingest(msgs, m=1, phase=Phase.MBBA)
         assert tally.senders() == {0}
 
     def test_final_requires_bit_payload(self):
         bad = MessageEnvelope(0, VSID, (b"x",), final=True)
-        tally = ingest([bad], m=1, kind=PayloadKind.VALUES)
+        tally = ingest([bad], m=1, phase=Phase.MGC)
         assert tally.senders() == set()
 
     def test_signature_required_unless_final(self):
@@ -136,18 +135,18 @@ class TestIngest:
         tally = ingest(
             [good, bad, missing, replay],
             m=1,
-            kind=PayloadKind.BITS,
+            phase=Phase.MBBA,
             signature_check=lambda env: env.signature == b"ok",
         )
         assert tally.senders() == {0, 3}
 
     def test_bool_components_are_not_bits(self):
-        tally = ingest([bit_env(0, (True,))], m=1, kind=PayloadKind.BITS)
+        tally = ingest([bit_env(0, (True,))], m=1, phase=Phase.MBBA)
         assert tally.senders() == set()
 
     def test_numbers_equal_to_bits_are_not_bits(self):
         msgs = [bit_env(0, (1.0, 0)), bit_env(1, (True, 0)), bit_env(2, (0, 1))]
-        tally = ingest(msgs, m=2, kind=PayloadKind.BITS)
+        tally = ingest(msgs, m=2, phase=Phase.MBBA)
         assert tally.senders() == {2}
         assert tally.count(1, 0) == 0
         assert tally.count(0, 0) == 1
@@ -177,14 +176,14 @@ class TestIngest:
         tally = ingest(
             [good, tampered],
             m=1,
-            kind=PayloadKind.BITS,
+            phase=Phase.MBBA,
             signature_check=lambda env: env.signature == b"ok",
         )
         assert tally.senders() == {0}
         assert tally.count(1, 0) == 1
 
     def test_count_out_of_range_component(self):
-        tally = ingest([bit_env(0, (1,))], m=1, kind=PayloadKind.BITS)
+        tally = ingest([bit_env(0, (1,))], m=1, phase=Phase.MBBA)
         with pytest.raises(IndexError):
             tally.count(1, 1)
         with pytest.raises(IndexError):
@@ -259,12 +258,12 @@ def envelope_batches(draw, m=2, n=6):
 
 @given(envelope_batches(), st.randoms(use_true_random=False))
 def test_ingest_order_insensitive_and_duplication_idempotent(envs, rng):
-    m, kind = 2, PayloadKind.VALUES
-    reference = ingest(envs, m=m, kind=kind)
+    m, phase = 2, Phase.MGC
+    reference = ingest(envs, m=m, phase=phase)
     shuffled = list(envs)
     rng.shuffle(shuffled)
     doubled = shuffled + [e for e in envs if rng.random() < 0.5]
-    again = ingest(doubled, m=m, kind=kind)
+    again = ingest(doubled, m=m, phase=phase)
     assert again.counts == reference.counts
     assert again.senders() == reference.senders()
 
@@ -272,7 +271,7 @@ def test_ingest_order_insensitive_and_duplication_idempotent(envs, rng):
 @given(envelope_batches())
 def test_ingest_counts_bounded_by_sender_count(envs):
     n = 6
-    tally = ingest(envs, m=2, kind=PayloadKind.VALUES)
+    tally = ingest(envs, m=2, phase=Phase.MGC)
     for c in range(2):
         assert tally.total(c) <= n
     # equality iff every sender contributed exactly one well-formed message
@@ -282,9 +281,9 @@ def test_ingest_counts_bounded_by_sender_count(envs):
 
 @given(envelope_batches(), st.integers(min_value=0, max_value=5))
 def test_removing_a_sender_never_raises_counts(envs, victim):
-    m, kind = 2, PayloadKind.VALUES
-    before = ingest(envs, m=m, kind=kind)
-    after = ingest([e for e in envs if e.sender != victim], m=m, kind=kind)
+    m, phase = 2, Phase.MGC
+    before = ingest(envs, m=m, phase=phase)
+    after = ingest([e for e in envs if e.sender != victim], m=m, phase=phase)
     for c in range(m):
         for value, count in after.counts[c].items():
             assert count <= before.counts[c].get(value, count)
@@ -294,8 +293,8 @@ def test_removing_a_sender_never_raises_counts(envs, victim):
 def test_merge_matches_joint_ingest_on_disjoint_groups(first, second):
     # shift the second group's senders out of the first group's id range
     second = [MessageEnvelope(e.sender + 10, e.step_id, e.payload) for e in second]
-    joint = ingest(first + second, m=2, kind=PayloadKind.VALUES)
-    base = ingest(first, m=2, kind=PayloadKind.VALUES)
+    joint = ingest(first + second, m=2, phase=Phase.MGC)
+    base = ingest(first, m=2, phase=Phase.MGC)
     before = [dict(column) for column in base.counts]
     merged = merge_tallies(base, second)
     assert merged.counts == joint.counts
@@ -304,7 +303,7 @@ def test_merge_matches_joint_ingest_on_disjoint_groups(first, second):
 
 
 def test_merge_rejects_overlapping_senders():
-    a = ingest([val_env(0, (b"a",))], m=1, kind=PayloadKind.VALUES)
+    a = ingest([val_env(0, (b"a",))], m=1, phase=Phase.MGC)
     with pytest.raises(ValueError):
         merge_tallies(a, [val_env(0, (b"b",))])
     # a sender the merge drops does not overlap
@@ -328,7 +327,7 @@ _JUNK_BITS = [1.0, 0.0, True, False, Phase.MBBA, 2, -1, b"\x01", None, Fraction(
 
 @st.composite
 def bit_batches(draw, m=3, n=6, first_sender=0):
-    """A shuffled BITS inbox with duplicates, equivocation, malformed, final
+    """A shuffled MBBA inbox with duplicates, equivocation, malformed, final
     and badly signed envelopes; fresh well-formed ones are signed b"ok"."""
     envs = []
     for sender in range(first_sender, first_sender + n):
@@ -354,7 +353,7 @@ def bit_batches(draw, m=3, n=6, first_sender=0):
 
 
 def _reference_bit_recount(envs, m, signature_check=None):
-    """The BITS discarding rules written out plainly, counting in dicts."""
+    """The MBBA discarding rules written out plainly, counting in dicts."""
     distinct: dict = {}
     for env in envs:
         p = env.payload
@@ -388,25 +387,21 @@ def _assert_matches_recount(tally, envs, m, signature_check):
 @given(bit_batches(), st.booleans())
 def test_bit_ingest_matches_reference_recount(envs, checked):
     check = SIG_OK if checked else None
-    tally = ingest(envs, m=3, kind=PayloadKind.BITS, signature_check=check)
+    tally = ingest(envs, m=3, phase=Phase.MBBA, signature_check=check)
     _assert_matches_recount(tally, envs, 3, check)
 
 
 @given(bit_batches(), bit_batches(first_sender=10), st.booleans())
 def test_bit_merge_matches_reference_recount(first, second, checked):
     check = SIG_OK if checked else None
-    merged = merge_tallies(
-        ingest(first, m=3, kind=PayloadKind.BITS, signature_check=check),
-        second,
-        signature_check=check,
-    )
+    merged = merge_tallies(ingest(first, m=3, phase=Phase.MBBA, signature_check=check), second)
     _assert_matches_recount(merged, first + second, 3, check)
 
 
 @given(bit_batches(m=2, n=4), bit_batches(m=2, n=4, first_sender=10))
 def test_merge_matches_joint_ingest_on_disjoint_groups_bits(first, second):
-    joint = ingest(first + second, m=2, kind=PayloadKind.BITS)
-    base = ingest(first, m=2, kind=PayloadKind.BITS)
+    joint = ingest(first + second, m=2, phase=Phase.MBBA)
+    base = ingest(first, m=2, phase=Phase.MBBA)
     before = (base.zeros[:], base.ones[:])
     merged = merge_tallies(base, second)
     assert (merged.zeros, merged.ones) == (joint.zeros, joint.ones)
@@ -414,11 +409,25 @@ def test_merge_matches_joint_ingest_on_disjoint_groups_bits(first, second):
     assert (base.zeros, base.ones) == before  # the base is not changed
 
 
+def test_merge_admits_by_the_base_signature_check():
+    # the check comes from the base: an unsigned fresh vector merged onto a
+    # checked coin-step base is dropped, onto an unchecked base it counts
+    own = [bit_env(0, (1,), sig=b"ok")]
+    part = [bit_env(1, (0,))]
+    checked = ingest(own, m=1, phase=Phase.MBBA, signature_check=SIG_OK)
+    merged = merge_tallies(checked, part)
+    assert merged.senders() == {0}
+    assert merged.signature_check is SIG_OK
+    merged = merge_tallies(ingest(own, m=1, phase=Phase.MBBA), part)
+    assert merged.senders() == {0, 1}
+    assert (merged.zeros, merged.ones) == ([1], [1])
+
+
 def test_merge_onto_bits_drops_value_envelopes_as_malformed():
-    # the kind comes from the base: value vectors are malformed in a bit step
-    bits = ingest([bit_env(0, (1,))], m=1, kind=PayloadKind.BITS)
+    # the phase comes from the base: value vectors are malformed in a bit step
+    bits = ingest([bit_env(0, (1,))], m=1, phase=Phase.MBBA)
     merged = merge_tallies(bits, [val_env(1, (b"a",)), bit_env(2, (0,))])
-    assert merged.kind == PayloadKind.BITS
+    assert merged.phase == Phase.MBBA
     assert merged.senders() == {0, 2}
     assert (merged.zeros, merged.ones) == ([1], [1])
 
@@ -428,7 +437,7 @@ _JUNK_VALUES = [0, 1.0, "a", bytearray(b"a"), (b"a",)]
 
 @st.composite
 def value_batches(draw, m=3, n=8):
-    """A shuffled VALUES inbox: duplicates, vectors equal to another sender's,
+    """A shuffled MGC inbox: duplicates, vectors equal to another sender's,
     BOT components, equivocation, finals and malformed payloads."""
     envs = []
     vectors = []
@@ -457,7 +466,7 @@ def value_batches(draw, m=3, n=8):
 
 
 def _reference_value_recount(envs, m):
-    """VALUES ingest counted one envelope at a time, as the plain rules read."""
+    """MGC ingest counted one envelope at a time, as the plain rules read."""
     by_sender: dict = {}
     conflict = object()
     for env in envs:
@@ -480,7 +489,7 @@ def _reference_value_recount(envs, m):
 
 @given(value_batches())
 def test_value_ingest_matches_per_envelope_recount(envs):
-    tally = ingest(envs, m=3, kind=PayloadKind.VALUES)
+    tally = ingest(envs, m=3, phase=Phase.MGC)
     admitted, counts = _reference_value_recount(envs, 3)
     assert tally.admitted == admitted
     for c in range(3):

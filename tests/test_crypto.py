@@ -91,16 +91,16 @@ class TestDeriveCoin:
     def test_single_signer_is_hash_of_hash(self):
         sig = b"\xaa" * 32
         expected = manual_bits(digest(digest(sig)), 16)
-        assert derive_coin([(0, sig)], 16) == expected
+        assert derive_coin([sig], 16) == expected
 
     def test_two_signers_winner_by_digest_order(self):
         # independent recomputation: hash both signatures, compare bytes
         s1, s2 = b"\x01" * 32, b"\x02" * 32
         winner = s1 if digest(s1) < digest(s2) else s2
-        assert derive_coin([(0, s1), (1, s2)], 8) == manual_bits(digest(digest(winner)), 8)
+        assert derive_coin([s1, s2], 8) == manual_bits(digest(digest(winner)), 8)
 
     def test_same_set_same_coin(self):
-        sigs = [(i, digest(bytes([i]))) for i in range(5)]
+        sigs = [digest(bytes([i])) for i in range(5)]
         assert derive_coin(sigs, 12) == derive_coin(list(reversed(sigs)), 12)
 
     def test_empty_set_rejected(self):
@@ -110,7 +110,7 @@ class TestDeriveCoin:
     def test_extension_beyond_one_digest(self):
         sig = b"\x07" * 32
         m = 300
-        coin = derive_coin([(0, sig)], m)
+        coin = derive_coin([sig], m)
         assert coin == manual_bits(digest(digest(sig)), m)
         assert len(coin) == m
 
@@ -123,16 +123,16 @@ class TestDeriveCoin:
         # minimal signature, the rest of the membership is irrelevant
         sigs = sorted((digest(bytes([i])) for i in range(6)), key=digest)
         winner = sigs[0]
-        set_a = [(0, winner), (1, sigs[1]), (2, sigs[3])]
-        set_b = [(0, winner), (3, sigs[2]), (4, sigs[4]), (5, sigs[5])]
+        set_a = [winner, sigs[1], sigs[3]]
+        set_b = [winner, sigs[2], sigs[4], sigs[5]]
         assert derive_coin(set_a, 16) == derive_coin(set_b, 16)
 
     @given(st.sets(st.binary(min_size=32, max_size=32), min_size=1, max_size=6), st.data())
     def test_permutation_and_duplication_invariance(self, sigs, data):
-        pairs = [(i, s) for i, s in enumerate(sorted(sigs))]
-        shuffled = data.draw(st.permutations(pairs))
+        ordered = sorted(sigs)
+        shuffled = data.draw(st.permutations(ordered))
         duplicated = list(shuffled) + [shuffled[0]]
-        assert derive_coin(pairs, 8) == derive_coin(duplicated, 8)
+        assert derive_coin(ordered, 8) == derive_coin(duplicated, 8)
 
     def test_bits_near_uniform_over_many_iterations(self):
         # random-oracle behavior: each component is 1 about half the time;
@@ -143,7 +143,7 @@ class TestDeriveCoin:
         r = common_string(99)
         for gamma in range(trials):
             sig = reg.sign(0, signing_message(r, gamma))
-            coin = derive_coin([(0, sig)], m)
+            coin = derive_coin([sig], m)
             for c in range(m):
                 ones[c] += coin[c]
         sigma = (trials * 0.25) ** 0.5

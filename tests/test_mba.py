@@ -300,7 +300,7 @@ class TestNode:
         for _ in range(3):  # MGC's two steps, then MBBA step 1 without a supermajority
             sid = node.messages[0].step_id
             messages = node.messages if sid.phase == Phase.MGC else node.messages[:2]
-            node.advance(ingest(messages, m=2, kind=sid.kind))
+            node.advance(ingest(messages, m=2, phase=sid.phase))
         twin = node.split([2, 3])
         assert twin.mgc is node.mgc and twin.graded is node.graded
         with pytest.raises(FrozenInstanceError):

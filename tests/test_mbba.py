@@ -5,7 +5,7 @@ import itertools
 import pytest
 
 from mbasim import mbba
-from mbasim.core import MessageEnvelope, PayloadKind, Phase, StepId, ingest
+from mbasim.core import MessageEnvelope, Phase, StepId, ingest
 from mbasim.crypto import KeyRegistry, common_string, derive_coin, signing_message
 from mbasim.mba import Node
 from mbasim.mbba import Branch, MbbaState
@@ -23,7 +23,7 @@ def make_state(bits, n=4, flags=None):
 
 def signatures(senders, iteration=0):
     msg = signing_message(COMMON, iteration)
-    return [(i, REG.sign(i, msg)) for i in senders]
+    return {i: REG.sign(i, msg) for i in senders}
 
 
 def bit_tally(zero_count, one_count, n, step, iteration=0, m=1, signed=True):
@@ -32,12 +32,12 @@ def bit_tally(zero_count, one_count, n, step, iteration=0, m=1, signed=True):
     sid = StepId(Phase.MBBA, iteration, step)
     votes = [0] * zero_count + [1] * one_count
     assert len(votes) <= n
-    sigs = dict(signatures(range(len(votes)), iteration)) if step == 3 and signed else {}
+    sigs = signatures(range(len(votes)), iteration) if step == 3 and signed else {}
     envs = [
         MessageEnvelope(sender, sid, (bit,) * m, signature=sigs.get(sender))
         for sender, bit in enumerate(votes)
     ]
-    return ingest(envs, m=m, kind=PayloadKind.BITS)
+    return ingest(envs, m=m, phase=Phase.MBBA)
 
 
 class TestStep1:
@@ -99,11 +99,11 @@ class TestStep2:
         st = make_state([0, 1])
         sid1 = StepId(Phase.MBBA, 0, 1)
         envs = [MessageEnvelope(i, sid1, (0, 1)) for i in range(4)]
-        st.apply(ingest(envs, m=2, kind=PayloadKind.BITS))
+        st.apply(ingest(envs, m=2, phase=Phase.MBBA))
         assert st.flags == [1, 0]
         sid2 = StepId(Phase.MBBA, 0, 2)
         envs = [MessageEnvelope(i, sid2, (0, 1)) for i in range(4)]
-        st.apply(ingest(envs, m=2, kind=PayloadKind.BITS))
+        st.apply(ingest(envs, m=2, phase=Phase.MBBA))
         assert st.output == (0, 1)
 
 
@@ -117,7 +117,7 @@ class TestStep3:
         self.advance(st)
         branches = st.apply(bit_tally(2, 2, 4, 3))
         assert branches == [Branch.COIN]
-        assert st.bits[0] == derive_coin(signatures(range(4)), 1)[0]
+        assert st.bits[0] == derive_coin(signatures(range(4)).values(), 1)[0]
         assert st.iteration == 1 and st.step == 1 and st.output is None
 
     def test_coin_ignores_final_and_unsigned_messages(self):
@@ -127,16 +127,16 @@ class TestStep3:
         sid = StepId(Phase.MBBA, 0, 3)
         sigs = signatures(range(3))
         envs = [
-            MessageEnvelope(0, sid, (0,) * m, signature=sigs[0][1]),
+            MessageEnvelope(0, sid, (0,) * m, signature=sigs[0]),
             # sender 1's signature has the lowest digest of the three
-            MessageEnvelope(1, sid, (0,) * m, signature=sigs[1][1], final=True),
-            MessageEnvelope(2, sid, (1,) * m, signature=sigs[2][1]),
+            MessageEnvelope(1, sid, (0,) * m, signature=sigs[1], final=True),
+            MessageEnvelope(2, sid, (1,) * m, signature=sigs[2]),
             MessageEnvelope(3, sid, (1,) * m),
         ]
-        tally = ingest(envs, m=m, kind=PayloadKind.BITS)
+        tally = ingest(envs, m=m, phase=Phase.MBBA)
         assert st.apply(tally) == [Branch.COIN] * m
         assert st.bits == list(derive_coin([sigs[0], sigs[2]], m))
-        assert st.bits != list(derive_coin(sigs, m))
+        assert st.bits != list(derive_coin(sigs.values(), m))
 
     def test_supermajority_zero_ignores_coin(self):
         st = make_state([1], n=7)
@@ -245,7 +245,7 @@ class TestScalarTransitionTable:
             return ("set", 1)
         if c0 + c1 == 0:
             return ("raise", None)
-        return ("coin", derive_coin(signatures(range(c0 + c1)), 1)[0])
+        return ("coin", derive_coin(signatures(range(c0 + c1)).values(), 1)[0])
 
     def test_all_count_patterns(self):
         for step, c0, c1 in itertools.product((1, 2, 3), range(5), range(5)):

@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_adversary, run_mgc_phase
-from mbasim.core import BOT, MessageEnvelope, PayloadKind, Tally, ingest
+from mbasim.core import BOT, MessageEnvelope, Phase, Tally, ingest
 from mbasim.mgc import STEP1_ID, STEP2_ID, MgcState
 from mbasim.netsim import NetworkConfig
 
 
 def tally_from(values_per_sender, m=1, sid=STEP1_ID):
     envs = [MessageEnvelope(i, sid, tuple(v)) for i, v in enumerate(values_per_sender)]
-    return ingest(envs, m=m, kind=PayloadKind.VALUES)
+    return ingest(envs, m=m, phase=Phase.MGC)
 
 
 class TestStep1:

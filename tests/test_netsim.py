@@ -15,7 +15,6 @@ from mbasim import netsim
 from mbasim.adversaries import CrashAfterAdversary
 from mbasim.core import (
     MessageEnvelope,
-    PayloadKind,
     Phase,
     StepId,
     agreed_value,
@@ -86,8 +85,8 @@ class TestDelivery:
     def test_equivocator_splits_recipient_views(self):
         net = SyncNetwork(NetworkConfig(4, 1, 1, 3), build_adversary("equivocator"))
         delivery = honest_bits_step(net, {0: [0], 1: [0], 2: [1]})
-        t0 = ingest(delivery.inbox(0), m=1, kind=PayloadKind.BITS)
-        t1 = ingest(delivery.inbox(1), m=1, kind=PayloadKind.BITS)
+        t0 = ingest(delivery.inbox(0), m=1, phase=Phase.MBBA)
+        t1 = ingest(delivery.inbox(1), m=1, phase=Phase.MBBA)
         assert delivery.inbox(0) != delivery.inbox(1)
         assert t0.count(0, 0) != t1.count(0, 0)
 
@@ -253,7 +252,7 @@ class FinalThenFresh(Adversary):
         self.shape = shape
 
     def act(self, view):
-        if view.kind != PayloadKind.BITS:
+        if view.step_id.phase != Phase.MBBA:
             return _shaped([], self.shape, view.honest_ids)
         first = view.step_id == SID
         env = MessageEnvelope(3, view.step_id, (int(first),), final=first)
@@ -456,7 +455,7 @@ class TestFastPathTallies:
         check = signature_check(net.registry, net.common, sid)
         fast = net.tallies(delivery)
         for r in range(n - t):
-            direct = ingest(delivery.inbox(r), m=m, kind=PayloadKind.BITS, signature_check=check)
+            direct = ingest(delivery.inbox(r), m=m, phase=Phase.MBBA, signature_check=check)
             assert (fast[r].zeros, fast[r].ones) == (direct.zeros, direct.ones), (name, step, r)
             assert fast[r].senders() == direct.senders()
 
@@ -487,7 +486,7 @@ class TestSharedTallies:
         assert tallies[1].senders() == {0, 1, 2}
         assert (tallies[0].ones, tallies[1].ones) == ([1, 3], [0, 3])
         for r in range(3):
-            direct = ingest(delivery.inbox(r), m=2, kind=PayloadKind.BITS)
+            direct = ingest(delivery.inbox(r), m=2, phase=Phase.MBBA)
             assert (tallies[r].zeros, tallies[r].ones) == (direct.zeros, direct.ones)
 
     def test_byte_equal_lists_share_one_tally_and_one_inbox(self):

@@ -11,7 +11,7 @@ import reference_engine
 from conftest import build_adversary, spy_finalizations
 from mbasim import mba
 from mbasim.adversaries import SplitKeeperAdversary
-from mbasim.core import BOT, MessageEnvelope, PayloadKind, Phase, StepId
+from mbasim.core import BOT, MessageEnvelope, Phase, StepId
 from mbasim.mba import ITERATION_CAP, run_trial
 from mbasim.mbba import Branch
 from mbasim.netsim import Adversary, NetworkConfig, never_both_violations
@@ -29,7 +29,7 @@ class GroupedNoise(Adversary):
 
     def act(self, view):
         rng, m, sid = self.rng, self.config.m, view.step_id
-        bits = view.kind == PayloadKind.BITS
+        bits = view.step_id.phase == Phase.MBBA
         sigs = self.signatures(sid)
         lists = []
         for _ in range(3):
