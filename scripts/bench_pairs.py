@@ -10,8 +10,9 @@ in odd pairs and the change first in even ones, and every pair of a workload
 runs before the next workload.  For each workload and each end-to-end metric
 of the change's BENCHMARK.json the file holds both sides' values, their
 medians, the parent's interquartile range, ``change_vs_parent`` (the relative
-difference of the medians) and ``pairs_change_better``, plus correctness,
-failed and attempted trials and the records digests.  The file is rewritten
+difference of the medians), ``pairs_change_better``, ``claim_holds`` and
+``within_bound`` (see :func:`claim_holds` and :func:`within_bound`), plus
+correctness, failed and attempted trials and the records digests.  The file is rewritten
 after every pair, so a cut series keeps the pairs it finished.
 """
 
@@ -45,13 +46,43 @@ def _quartiles(values: list) -> tuple:
     return q1, q3
 
 
+def _sign(better: str) -> int:
+    return 1 if better == "higher" else -1
+
+
+def pairs_change_better(parent: list, change: list, better: str) -> int:
+    """Pairs in which the change reads better; a tie counts for neither."""
+    sign = _sign(better)
+    return sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+
+
+def claim_holds(parent: list, change: list, better: str) -> bool:
+    """Whether a gain on one metric may be claimed from paired runs: the
+    change reads better in at least nine tenths of the pairs, ties counting
+    for neither, and its median beats the parent's by more than the
+    distance between the parent's quartiles."""
+    q1, q3 = _quartiles(parent)
+    gain = _sign(better) * (statistics.median(change) - statistics.median(parent))
+    return 10 * pairs_change_better(parent, change, better) >= 9 * len(parent) and gain > q3 - q1
+
+
+def within_bound(parent: list, change: list, better: str, bound: float) -> bool:
+    """Whether the change's median is no worse than the parent's by more than
+    ``bound``, a fraction of the parent's median."""
+    base, median = statistics.median(parent), statistics.median(change)
+    if better == "higher":
+        return median >= base * (1 - bound)
+    return median <= base * (1 + bound)
+
+
 def summarize(pairs: list, declared: list) -> dict:
     """One workload's summary.
 
     ``pairs`` holds, in run order, ``{"order": "parent first" | "change
     first", "parent": run, "change": run}`` with each run as
     :func:`run_once` returns it; ``declared`` is BENCHMARK.json's
-    ``end_to_end`` list, which gives each metric's better direction.
+    ``end_to_end`` list, which gives each metric's better direction and
+    bound.
     """
     runs = {side: [pair[side] for pair in pairs] for side in SIDES}
     out = {
@@ -67,20 +98,19 @@ def summarize(pairs: list, declared: list) -> dict:
     }
     for spec in declared:
         name = spec["name"]
-        values = {s: [r["result"]["metrics"][name]["value"] for r in runs[s]] for s in SIDES}
-        sign = 1 if spec["better"] == "higher" else -1
-        q1, q3 = _quartiles(values["parent"])
-        median = {s: statistics.median(values[s]) for s in SIDES}
+        parent, change = ([r["result"]["metrics"][name]["value"] for r in runs[s]] for s in SIDES)
+        better = spec["better"]
+        q1, q3 = _quartiles(parent)
         out["metrics"][name] = {
-            "parent": values["parent"],
-            "change": values["change"],
-            "median_parent": median["parent"],
-            "median_change": median["change"],
-            "change_vs_parent": median["change"] / median["parent"] - 1,
+            "parent": parent,
+            "change": change,
+            "median_parent": statistics.median(parent),
+            "median_change": statistics.median(change),
+            "change_vs_parent": statistics.median(change) / statistics.median(parent) - 1,
             "parent_iqr": q3 - q1,
-            "pairs_change_better": sum(
-                sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"])
-            ),
+            "pairs_change_better": pairs_change_better(parent, change, better),
+            "claim_holds": claim_holds(parent, change, better),
+            "within_bound": within_bound(parent, change, better, spec["bound"]),
         }
     return out
 

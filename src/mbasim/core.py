@@ -17,10 +17,8 @@ signature check, so every part merged onto it is admitted by the same rules.
 from __future__ import annotations
 
 import struct
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from enum import IntEnum
-from operator import add
 from typing import Callable, Iterable, NamedTuple, Optional
 
 # "No value" marker: a legal vector component, never part of the value set.
@@ -57,6 +55,40 @@ class StepId(NamedTuple):
         return self.step == 3 and self.phase == Phase.MBBA
 
 
+def _init_through_slots(cls: type) -> type:
+    """Give the frozen slotted dataclass ``cls`` an ``__init__`` that sets
+    each field through its slot's member descriptor.
+
+    The ``__init__`` that ``dataclass`` writes for a frozen class sets every
+    field through ``object.__setattr__``, which looks the slot up by name on
+    each call; this one holds the descriptors' setters.  It has the same
+    signature, defaults and annotations, and runs ``__post_init__`` when the
+    class has one, so equality, hashing, ``repr``, ``dataclasses.replace``
+    and the frozen instances are as ``dataclass`` makes them.
+    """
+    namespace: dict = {}
+    params, body = [], []
+    for f in fields(cls):
+        if f.default_factory is not MISSING or not f.init:
+            raise TypeError(f"{cls.__name__}.{f.name}: only plain fields are supported")
+        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is MISSING:
+            params.append(f.name)
+        else:
+            namespace[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        body.append(f"    _set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        body.append("    self.__post_init__()")
+    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
+    init = namespace["__init__"]
+    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
+    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
+    cls.__init__ = init
+    return cls
+
+
+@_init_through_slots
 @dataclass(frozen=True, slots=True)
 class MessageEnvelope:
     """The only thing that crosses the simulated wire.
@@ -73,6 +105,7 @@ class MessageEnvelope:
     final: bool = False
 
 
+@_init_through_slots
 @dataclass(frozen=True, slots=True)
 class GradedPair:
     """Graded-consensus output component: a value with confidence 0, 1 or 2."""
@@ -120,6 +153,15 @@ def is_value_vector(payload: tuple, m: int) -> bool:
     return len(payload) == m and set(map(type, payload)) <= _VALUE_TYPES
 
 
+def _payload_formed(payload, m: int, phase: Phase) -> bool:
+    """m values in an MGC step, m bits in an MBBA step."""
+    if not isinstance(payload, tuple):
+        return False
+    if phase == Phase.MBBA:
+        return is_bit_vector(payload, m)
+    return is_value_vector(payload, m)
+
+
 def well_formed(env: MessageEnvelope, m: int, phase: Phase) -> bool:
     """Formatting check for one envelope of a ``phase`` step: m values in
     MGC, m bits in MBBA.
@@ -127,13 +169,9 @@ def well_formed(env: MessageEnvelope, m: int, phase: Phase) -> bool:
     A final envelope must carry a bit vector; in particular it can never be
     well-formed during an MGC step.
     """
-    if not isinstance(env.payload, tuple):
+    if env.final and phase == Phase.MGC:
         return False
-    if phase == Phase.MBBA:
-        return is_bit_vector(env.payload, m)
-    if env.final:
-        return False
-    return is_value_vector(env.payload, m)
+    return _payload_formed(env.payload, m, phase)
 
 
 class Tally:
@@ -143,8 +181,11 @@ class Tally:
     tally is a :class:`BitTally`, which stores the counts as two int lists.
     ``phase`` says what the counted payloads carry, and ``signature_check``
     is the step's admission check (None: none); :func:`merge_tallies` admits
-    further parts by both.  Nodes that share a tally share its results by
-    stepping as one class.
+    further parts by both.  ``admitted`` keeps each counted sender's
+    envelope, but the counts are built per payload object: the senders of
+    one object add its votes as one column weighted by their number, so a
+    class of nodes sending one payload costs one column, whatever its size.
+    Nodes that share a tally share its results by stepping as one class.
     """
 
     __slots__ = ("m", "admitted", "counts", "signature_check")
@@ -205,10 +246,23 @@ _CONFLICT = object()
 
 def _admit(envelopes, m: int, phase: Phase, signature_check) -> dict:
     """The discarding rules: sender -> its one admissible envelope, in
-    first-seen order."""
+    first-seen order.
+
+    Each payload object is checked for form once (:func:`well_formed`),
+    keyed by identity; ``held`` keeps every keyed payload alive for the call,
+    so no id is reused by another payload while it is a key.
+    """
     by_sender: dict[int, object] = {}
+    formed: dict[int, bool] = {}  # id of a payload -> whether it is well-formed
+    held = []
+    mgc = phase == Phase.MGC
     for env in envelopes:
-        if not well_formed(env, m, phase):
+        payload = env.payload
+        ok = formed.get(id(payload))
+        if ok is None:
+            ok = formed[id(payload)] = _payload_formed(payload, m, phase)
+            held.append(payload)
+        if not ok or (env.final and mgc):
             continue
         if signature_check is not None and not env.final and not signature_check(env):
             continue
@@ -222,9 +276,25 @@ def _admit(envelopes, m: int, phase: Phase, signature_check) -> dict:
     return {s: e for s, e in by_sender.items() if e is not _CONFLICT}
 
 
-def _ones(admitted: dict, m: int) -> list:
-    """Column sums of the admitted bit vectors: the votes for 1 per component."""
-    return list(map(sum, zip(*[e.payload for e in admitted.values()]))) or [0] * m
+def _weighted(admitted: dict):
+    """Each distinct admitted payload object with its number of senders, as
+    [payload, weight] in first-seen order."""
+    weights: dict[int, list] = {}
+    for env in admitted.values():
+        entry = weights.get(id(env.payload))
+        if entry is None:
+            weights[id(env.payload)] = [env.payload, 1]
+        else:
+            entry[1] += 1
+    return weights.values()
+
+
+def _add_bits(ones: list, admitted: dict) -> list:
+    """``ones`` plus the admitted bit vectors' votes for 1 per component,
+    one weighted column per payload object."""
+    for payload, w in _weighted(admitted):
+        ones = [k + w * b for k, b in zip(ones, payload)]
+    return ones
 
 
 def _bit_tally(m: int, admitted: dict, ones: list, signature_check) -> BitTally:
@@ -235,13 +305,13 @@ def _bit_tally(m: int, admitted: dict, ones: list, signature_check) -> BitTally:
 def _add_values(counts: list, admitted: dict) -> list:
     """Add the admitted value vectors' votes onto ``counts``; returns it.
 
-    Each distinct vector is counted once, weighted by its senders.  Counter
-    keeps first-seen order, so every counts[c] gets its keys in the order a
+    Each payload object is counted once, weighted by its senders.  Its first
+    sender fixes its order, so every counts[c] gets its keys in the order a
     per-envelope count would insert them.
     """
-    for payload, k in Counter([e.payload for e in admitted.values()]).items():
+    for payload, w in _weighted(admitted):
         for column, v in zip(counts, payload):
-            column[v] = column.get(v, 0) + k
+            column[v] = column.get(v, 0) + w
     return counts
 
 
@@ -262,10 +332,14 @@ def ingest(
     requirement but never contribute a signature.  The node's own message
     participates like any other.  The tally keeps m, the phase and the check,
     and :func:`merge_tallies` admits a further sender group by them.
+
+    The form of each payload object is checked once, however many envelopes
+    carry it; the duplicate, equivocation and signature rules apply per
+    sender.  ``step_messages`` may be any iterable, a generator included.
     """
     admitted = _admit(step_messages, m, phase, signature_check)
     if phase == Phase.MBBA:
-        return _bit_tally(m, admitted, _ones(admitted, m), signature_check)
+        return _bit_tally(m, admitted, _add_bits([0] * m, admitted), signature_check)
     return Tally(m, admitted, _add_values([{} for _ in range(m)], admitted), signature_check)
 
 
@@ -287,7 +361,7 @@ def merge_tallies(base: Tally, envelopes: Iterable[MessageEnvelope]) -> Tally:
         raise ValueError(f"tally sender groups overlap: {overlap}")
     admitted = {**base.admitted, **added}
     if phase == Phase.MBBA:
-        return _bit_tally(m, admitted, list(map(add, base.ones, _ones(added, m))), check)
+        return _bit_tally(m, admitted, _add_bits(base.ones, added), check)
     return Tally(m, admitted, _add_values(list(map(dict, base.counts)), added), check)
 
 
@@ -311,7 +385,7 @@ def agreed_value(honest_vectors: list, c: int):
 
 def ambiguous_components(honest_vectors: list) -> int:
     """Number of components where at least two of the vectors differ."""
-    if not honest_vectors:
+    if len(honest_vectors) < 2:
         return 0
     return sum(not c_agreement(honest_vectors, c) for c in range(len(honest_vectors[0])))
 

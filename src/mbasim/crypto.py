@@ -18,6 +18,7 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 DIGEST_SIZE = 32
@@ -42,6 +43,10 @@ class KeyRegistry:
 
     Every simulated party may verify any signature through the registry,
     mirroring a network where all verification keys are known to everyone.
+    ``KeyRegistry(secrets)`` holds the given secrets.  A registry made by
+    :meth:`from_seed` derives all n secrets together at its first
+    ``keypair``, ``sign`` or ``verify``, so a trial that never signs (no
+    coin step) derives none.
     """
 
     def __init__(self, secrets: dict[int, bytes]):
@@ -49,8 +54,21 @@ class KeyRegistry:
 
     @classmethod
     def from_seed(cls, seed: int, n: int) -> "KeyRegistry":
-        base = seed.to_bytes(8, "big", signed=False)
-        return cls({i: digest(base + b"node-secret" + i.to_bytes(4, "big")) for i in range(n)})
+        """The registry of nodes 0 to n-1 for a trial seed; the secrets are
+        derived on first use."""
+        registry = cls.__new__(cls)
+        registry._seed, registry._n = seed.to_bytes(8, "big", signed=False), n
+        return registry
+
+    @cached_property
+    def _keys(self) -> dict:
+        """The seeded registry's keys, derived together on first use (an
+        unseeded one sets them in ``__init__``)."""
+        base = self._seed
+        return {
+            i: KeyPair(i, digest(base + b"node-secret" + i.to_bytes(4, "big")))
+            for i in range(self._n)
+        }
 
     def keypair(self, node: int) -> KeyPair:
         return self._keys[node]

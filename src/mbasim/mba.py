@@ -197,8 +197,17 @@ def run_trial(
     if len(initial_vectors) != n:
         raise ValueError(f"need {n} initial vectors, got {len(initial_vectors)}")
     honest = config.honest_ids
+    # Each input object is checked once, keyed by identity; ``held`` keeps
+    # every keyed object alive, so no id is reused while it is a key.
+    formed: dict[int, bool] = {}
+    held = []
     for i in honest:
-        if not is_value_vector(tuple(initial_vectors[i]), m):
+        vector = initial_vectors[i]
+        ok = formed.get(id(vector))
+        if ok is None:
+            ok = formed[id(vector)] = is_value_vector(tuple(vector), m)
+            held.append(vector)
+        if not ok:
             raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
 
     net = SyncNetwork(config, adversary, initial_vectors)

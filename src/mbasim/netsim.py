@@ -25,7 +25,12 @@ that share a list or tuple share its part.  Checked envelopes that
 encode alike tally alike (see :class:`Adversary`), so recipients whose parts
 encode alike share one part, one step-log entry and one tally, whatever the
 output shape.  Honest nodes with one state and one tally step as one class
-(:func:`mbasim.mba.step_classes`), whose members' payload is encoded once.
+(:func:`mbasim.mba.step_classes`), whose members' payload is encoded once
+and, when tallied, checked once and counted as one weighted column.
+
+A trial pays for what it uses: the nodes' keys are derived when something
+first signs or verifies (a coin step), and the adversary's generator is
+seeded when the strategy first draws (:attr:`Adversary.rng`).
 """
 
 from __future__ import annotations
@@ -34,6 +39,7 @@ import hashlib
 import random
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from operator import itemgetter
 from typing import Optional
 
@@ -131,6 +137,11 @@ class Adversary:
     Strategies sign through :meth:`signatures`.  ``end_step``
     runs after delivery, letting stateful strategies advance internal
     bookkeeping.
+
+    ``rng`` is the strategy's generator: the one ``setup`` was given, or,
+    when it was given None (as :class:`SyncNetwork` does), the trial seed's
+    :func:`adversary_rng`, seeded at its first read, so a strategy that
+    draws nothing seeds none.
     """
 
     name = "silent"
@@ -139,8 +150,15 @@ class Adversary:
         self.config = config
         self.registry = registry
         self.common = common
-        self.rng = rng
+        if rng is None:
+            vars(self).pop("rng", None)  # a generator of an earlier setup
+        else:
+            self.rng = rng
         self.corrupt_ids = config.corrupt_ids
+
+    @cached_property
+    def rng(self):
+        return adversary_rng(self.config.seed)
 
     def signatures(self, step_id: StepId) -> dict:
         """Each corrupt node's signature for a message of ``step_id``: of the
@@ -236,10 +254,11 @@ def _restamp(env: MessageEnvelope, step_id: StepId) -> MessageEnvelope:
 class SyncNetwork:
     """Round engine for a single trial.
 
-    It wires the trial from ``config.seed``: the nodes' keys (``registry``),
-    the common string (``common``) and the adversary, set up with its own
-    generator; None is the silent adversary.  ``initial_vectors`` are handed
-    to the adversary's ``setup``.
+    It wires the trial from ``config.seed``: the nodes' keys (``registry``,
+    derived at their first use), the common string (``common``) and the
+    adversary, whose generator is seeded at its first draw
+    (:attr:`Adversary.rng`); None is the silent adversary.
+    ``initial_vectors`` are handed to the adversary's ``setup``.
     """
 
     def __init__(
@@ -253,9 +272,7 @@ class SyncNetwork:
         self.common = common_string(config.seed)
         if adversary is None:
             adversary = Adversary()
-        adversary.setup(
-            config, self.registry, self.common, initial_vectors, adversary_rng(config.seed)
-        )
+        adversary.setup(config, self.registry, self.common, initial_vectors, None)
         self.adversary = adversary
         self.honest_ids = config.honest_ids
         self._corrupt = frozenset(config.corrupt_ids)
@@ -406,7 +423,7 @@ def newly_finalized(branch_reports: dict, flags: dict) -> list:
 
 def fixation_violations(step_id: StepId, newly_finalized, honest_bits: dict) -> list:
     """A component finalized this step must be in agreement at step end."""
-    if not newly_finalized:
+    if not newly_finalized or len(honest_bits) < 2:
         return []
     split = {
         c
@@ -423,6 +440,8 @@ def fixation_violations(step_id: StepId, newly_finalized, honest_bits: dict) -> 
 
 def never_both_violations(step_id: StepId, branch_reports: dict, m: int) -> list:
     """No two honest nodes may cross opposite supermajority branches at one component."""
+    if len(branch_reports) < 2:
+        return []
     out = []
     nodes = list(branch_reports)
     for c, column in zip(range(m), zip(*branch_reports.values())):
@@ -442,8 +461,13 @@ class PersistenceTracker:
     def __init__(self, m: int):
         self.m = m
         self.agreed: dict[int, int] = {}
+        self._row: Optional[tuple] = None  # the agreed values once all m are agreed
 
     def update(self, step_id: StepId, honest_bits: dict) -> list:
+        if self._row is not None and len(honest_bits) == 1:
+            (row,) = honest_bits.values()
+            if row == self._row:
+                return []
         out = []
         for c, column in zip(range(self.m), zip(*honest_bits.values())):
             value = column[0]
@@ -456,4 +480,6 @@ class PersistenceTracker:
                     )
             elif ok:
                 self.agreed[c] = value
+        if self._row is None and len(self.agreed) == self.m:
+            self._row = tuple([self.agreed[c] for c in range(self.m)])
         return out

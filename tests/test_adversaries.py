@@ -2,6 +2,7 @@
 and random_byzantine's draws against randrange."""
 
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -14,10 +15,11 @@ from mbasim.adversaries import (
     _random_byte,
     make_adversary,
 )
-from mbasim.core import BOT, BitTally, MessageEnvelope, Phase, StepId, ingest
+from mbasim import mbba
+from mbasim.core import BOT, BitTally, MessageEnvelope, Phase, StepId, ingest, is_bit_vector
 from mbasim.crypto import KeyPair, signing_message
 from mbasim.mba import Node, run_trial
-from mbasim.mbba import signature_check, signatures
+from mbasim.mbba import MbbaState, signature_check, signatures
 from mbasim.mgc import STEP1_ID, STEP2_ID
 from mbasim.netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
 from mbasim.scenarios import build_inputs, scenario_rng
@@ -398,6 +400,57 @@ class TestRandomByzantine:
                         replayed = replayed or env.payload in seen[key]
                         seen[key].add(env.payload)
         assert replayed
+
+
+    def test_coin_step_admits_only_valid_signatures(self, monkeypatch):
+        # random_byzantine's act through a real coin step of run_step: its
+        # junk (randbytes(32)) and missing signatures are never admitted, its
+        # valid ones are, and the coin reads only the admitted signatures
+        read = []
+        real_derive = mbba.derive_coin
+        monkeypatch.setattr(
+            mbba, "derive_coin", lambda sigs, m: read.append(sorted(sigs)) or real_derive(sigs, m)
+        )
+        offered = Counter()  # (kind, admitted) of well-formed fresh corrupt envelopes
+        sid = StepId(Phase.MBBA, 1, 3)
+        for seed in range(8):
+            config = NetworkConfig(7, 2, 4, seed)
+            net = SyncNetwork(config, RandomByzantineAdversary())
+            assert "_keys" not in vars(net.registry)  # derived at the first signature
+            honest = config.honest_ids
+            sigs = signatures(net.registry, net.common, sid, honest)
+            delivery = net.run_step(
+                sid, {i: MessageEnvelope(i, sid, (i % 2,) * 4, sigs[i]) for i in honest}
+            )
+            message = signing_message(net.common, 1)
+
+            def verifies(env):
+                return net.registry.verify(env.sender, message, env.signature)
+
+            def admissible(env):
+                return is_bit_vector(env.payload, 4) and (env.final or verifies(env))
+
+            for r, tally in net.tallies(delivery).items():
+                fresh = {s: e for s, e in tally.admitted.items() if not e.final}
+                assert all(map(verifies, fresh.values()))
+                part = delivery.parts[delivery.part_of[r]]
+                for env in part:
+                    if env.final or not is_bit_vector(env.payload, 4):
+                        continue
+                    if verifies(env):
+                        kind = "valid"
+                    else:
+                        kind = "missing" if env.signature is None else "junk"
+                    # a rival admissible message removes the sender as equivocating
+                    rival = any(
+                        e.sender == env.sender and e != env and admissible(e) for e in part
+                    )
+                    if kind != "valid" or not rival:
+                        offered[kind, fresh.get(env.sender) is env] += 1
+                read.clear()
+                MbbaState(7, 4, [0] * 4, step=3)._coin(tally)
+                assert read == [sorted(e.signature for e in fresh.values())]
+        assert set(offered) == {("valid", True), ("junk", False), ("missing", False)}
 
 
 # -- random_byzantine's draws against randrange ---------------------------------

@@ -1,11 +1,15 @@
 """Tally semantics: discarding rules, counting, and the agreement oracle."""
 
+import dataclasses
+import inspect
 import struct
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
 
 import pytest
+from typing import Optional
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -213,6 +217,65 @@ class TestCAgreement:
             c_agreement([], 0)
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Envelope:
+    """MessageEnvelope's fields with the ``__init__`` that ``dataclass`` writes."""
+
+    sender: int
+    step_id: StepId
+    payload: tuple
+    signature: Optional[bytes] = None
+    final: bool = False
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class _Pair:
+    """GradedPair's fields with the ``__init__`` that ``dataclass`` writes."""
+
+    value: Optional[bytes]
+    grade: int
+
+
+_RECORDS = [
+    (MessageEnvelope, _Envelope, (1, SID, (0, 1)), {"signature": b"s", "final": True}),
+    (MessageEnvelope, _Envelope, (2, VSID, (b"a", BOT), b"sig", True), {"sender": 3}),
+    (GradedPair, _Pair, (b"x", 2), {"grade": 1}),
+    (GradedPair, _Pair, (BOT, 0), {"value": b"y", "grade": 1}),
+]
+
+
+@pytest.mark.parametrize("cls, reference, args, changes", _RECORDS)
+def test_records_behave_as_generated_frozen_dataclasses(cls, reference, args, changes):
+    def params(c):
+        return [(p.name, p.kind, p.default) for p in inspect.signature(c).parameters.values()]
+
+    assert params(cls) == params(reference)
+    assert cls.__slots__ == reference.__slots__ and cls.__match_args__ == reference.__match_args__
+    kwargs = dict(zip(reference.__match_args__, args))
+    ours, ref = cls(*args), reference(*args)
+    assert ours == cls(**kwargs) and hash(ours) == hash(cls(**kwargs))
+    assert dataclasses.astuple(ours) == dataclasses.astuple(ref)
+    assert repr(ours) == repr(ref).replace(reference.__name__, cls.__name__, 1)
+    assert ours != ref
+    changed = dataclasses.replace(ours, **changes)
+    assert type(changed) is cls and changed == cls(**{**kwargs, **changes})
+    assert dataclasses.astuple(changed) == dataclasses.astuple(dataclasses.replace(ref, **changes))
+    name = reference.__match_args__[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ours, name, getattr(ours, name))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        delattr(ours, name)
+
+    def set_extra(obj):
+        with pytest.raises(Exception) as raised:
+            obj.extra = 1
+        return raised.type
+
+    assert set_extra(ours) is set_extra(ref)
+    with pytest.raises(TypeError):
+        cls()
+
+
 class TestGradedPair:
     def test_positive_grade_needs_value(self):
         with pytest.raises(ValueError):
@@ -226,6 +289,12 @@ class TestGradedPair:
         with pytest.raises(ValueError):
             GradedPair(b"x", 3)
         assert GradedPair(b"x", 2).grade == 2
+
+    def test_replace_runs_the_checks(self):
+        with pytest.raises(ValueError):
+            dataclasses.replace(GradedPair(b"x", 2), grade=0)
+        with pytest.raises(ValueError):
+            dataclasses.replace(GradedPair(BOT, 0), grade=1)
 
 
 # -- property tests -----------------------------------------------------------
@@ -638,3 +707,77 @@ def test_encode_envelope_matches_reference(sender, phase, iteration, step, paylo
     env = MessageEnvelope(sender, StepId(phase, iteration, step), payload, signature=sig, final=final)
     assert encode_envelope(env) == _reference_encode_envelope(env)
     assert encode_envelope(env, encode_payload(payload)) == encode_envelope(env)
+
+
+@st.composite
+def shared_payload_inboxes(draw, m=3, n=8, first_sender=0):
+    """An inbox of either phase whose senders draw their payloads from a
+    small pool of objects, so most payload objects are shared: bit vectors,
+    value vectors and malformed tuples, sent fresh, final, duplicated or
+    equivocated, with good (b"ok"), bad and missing signatures."""
+    pool = draw(st.lists(st.one_of(
+        st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m).map(tuple),
+        st.lists(values_strategy, min_size=m, max_size=m).map(tuple),
+        st.lists(st.sampled_from([0, 1, True, b"a", BOT, 2]), max_size=m + 1).map(tuple),
+    ), min_size=1, max_size=4))
+    envs = []
+    for sender in range(first_sender, first_sender + n):
+        for _ in range(draw(st.integers(0, 2))):
+            envs.append(MessageEnvelope(
+                sender, SID, draw(st.sampled_from(pool)),
+                signature=draw(st.sampled_from([b"ok", b"bad", None])),
+                final=draw(st.booleans()),
+            ))
+    return draw(st.permutations(envs))
+
+
+def _reference_recount(envs, m, phase, signature_check):
+    """ingest's discarding rules and counts, one envelope at a time."""
+    by_sender: dict = {}
+    conflict = object()
+    for env in envs:
+        if phase == Phase.MBBA:
+            formed = _reference_is_bit_vector(env.payload, m)
+        else:
+            formed = not env.final and _reference_is_value_vector(env.payload, m)
+        if not formed or (signature_check and not env.final and not signature_check(env)):
+            continue
+        prev = by_sender.get(env.sender)
+        if prev is None:
+            by_sender[env.sender] = env
+        elif prev is not conflict and prev != env:
+            by_sender[env.sender] = conflict
+    admitted = {s: e for s, e in by_sender.items() if e is not conflict}
+    counts = [{} for _ in range(m)]
+    for env in admitted.values():
+        for c, v in enumerate(env.payload):
+            counts[c][v] = counts[c].get(v, 0) + 1
+    return admitted, counts
+
+
+def _fresh_copies(envs):
+    """The envelopes one at a time, each with a new payload object, so an
+    envelope dropped and freed may leave its payload's id to the next one."""
+    for env in envs:
+        yield MessageEnvelope(env.sender, env.step_id, tuple(list(env.payload)), env.signature,
+                              env.final)
+
+
+def _assert_tally_is(tally, admitted, counts, m, phase):
+    assert list(tally.admitted.items()) == list(admitted.items())
+    for c in range(m):
+        if phase == Phase.MBBA:
+            assert (tally.zeros[c], tally.ones[c]) == (counts[c].get(0, 0), counts[c].get(1, 0))
+        else:
+            assert list(tally.counts[c].items()) == list(counts[c].items())
+
+
+@given(shared_payload_inboxes(), shared_payload_inboxes(first_sender=10),
+       st.sampled_from(list(Phase)), st.booleans(), st.booleans())
+def test_shared_payloads_tally_as_a_per_envelope_recount(first, second, phase, checked, fresh):
+    m, check = 3, SIG_OK if checked else None
+    offered = _fresh_copies if fresh else list
+    base = ingest(offered(first), m=m, phase=phase, signature_check=check)
+    _assert_tally_is(base, *_reference_recount(first, m, phase, check), m, phase)
+    merged = merge_tallies(base, offered(second))
+    _assert_tally_is(merged, *_reference_recount(first + second, m, phase, check), m, phase)

@@ -82,6 +82,20 @@ class TestSignatures:
         assert len(sigs) == 4
         assert common_string(7) not in sigs
 
+    def test_seeded_registry_is_the_registry_of_its_secrets(self):
+        base = (7).to_bytes(8, "big")
+        secrets = {i: digest(base + b"node-secret" + i.to_bytes(4, "big")) for i in range(4)}
+        given, seeded = KeyRegistry(secrets), KeyRegistry.from_seed(7, 4)
+        sig = given.sign(1, b"msg")
+        # the first use derives the keys, whichever call it is
+        for node, signature in [(99, sig), (True, sig), (1, "str"), (1, bytearray(sig)), (1, sig)]:
+            assert seeded.verify(node, b"msg", signature) == given.verify(node, b"msg", signature)
+        assert [seeded.keypair(i) for i in range(4)] == [given.keypair(i) for i in range(4)]
+        assert seeded.sign(3, b"m") == given.sign(3, b"m")
+        for registry in (given, seeded):
+            with pytest.raises(KeyError):
+                registry.keypair(4)
+
     def test_signing_message_layout(self):
         r = common_string(1)
         assert signing_message(r, 3) == r + (3).to_bytes(8, "big")

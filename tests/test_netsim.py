@@ -2,6 +2,7 @@
 fast-path tallies, and the runtime monitors."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -11,8 +12,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_adversary
-from mbasim import netsim
-from mbasim.adversaries import CrashAfterAdversary
+from mbasim import crypto, netsim
+from mbasim.adversaries import CrashAfterAdversary, RandomByzantineAdversary
 from mbasim.core import (
     MessageEnvelope,
     Phase,
@@ -395,6 +396,62 @@ class TestDeterminism:
             assert inboxes(a) == inboxes(b)
 
 
+class TestFirstUse:
+    """A trial derives its keys and seeds its adversary's generator only when
+    something first signs, verifies or draws."""
+
+    @pytest.fixture
+    def made(self, monkeypatch):
+        """The node ids whose secrets are derived and the seeds given to
+        ``adversary_rng``, in order."""
+        made = {"secrets": [], "rng": []}
+        real_digest, real_rng = crypto.digest, netsim.adversary_rng
+
+        def digest(data):
+            if data[8:19] == b"node-secret":
+                made["secrets"].append(int.from_bytes(data[19:], "big"))
+            return real_digest(data)
+
+        def adversary_rng(seed):
+            made["rng"].append(seed)
+            return real_rng(seed)
+
+        monkeypatch.setattr(crypto, "digest", digest)
+        monkeypatch.setattr(netsim, "adversary_rng", adversary_rng)
+        return made
+
+    def test_unanimous_silent_trial_derives_no_key_and_seeds_no_rng(self, made):
+        config = NetworkConfig(7, 2, 4, 3)
+        adversary = Adversary()
+        rec = run_trial(config, build_inputs("unanimous", (), config, scenario_rng(3)), adversary)
+        assert rec.halted and rec.consistency
+        assert made == {"secrets": [], "rng": []}
+        assert "rng" not in vars(adversary)
+
+    def test_coin_steps_derive_the_n_secrets_once(self, made):
+        config = NetworkConfig(7, 2, 4, 0)
+        inputs = build_inputs("ambiguous", (4,), config, scenario_rng(0))
+        steps = []
+        rec = run_trial(config, inputs, build_adversary("split_keeper"), on_step=steps.append)
+        assert rec.halted and sum(step.step_id.coin for step in steps) > 1
+        assert made == {"secrets": list(range(7)), "rng": []}  # split_keeper draws nothing
+
+    def test_rng_is_the_seed_stream_seeded_once_per_setup(self, made):
+        config = NetworkConfig(7, 2, 4, 5)
+        adversary = RandomByzantineAdversary()
+        SyncNetwork(config, adversary)
+        assert made["rng"] == []
+        first = [adversary.rng.random() for _ in range(3)]
+        assert made["rng"] == [5]
+        reference = netsim.adversary_rng(5)
+        assert first == [reference.random() for _ in range(3)]
+        SyncNetwork(config, adversary)  # a new setup starts the stream again
+        assert [adversary.rng.random() for _ in range(3)] == first
+        given = random.Random(9)
+        adversary.setup(config, None, b"", None, given)
+        assert adversary.rng is given
+
+
 # A trial whose adversary sends components with no canonical bytes: an
 # object() (its repr holds an address) and a frozenset of strings (its repr
 # order follows the hash seed).
@@ -663,11 +720,14 @@ class _ReferencePersistence:
 @st.composite
 def monitor_steps(draw):
     """Steps of (branch reports, flags, bit vectors) for a shuffled set of
-    nodes.  A SKIPPED branch has its flag set, as MbbaState.apply leaves it."""
+    nodes, each step reported by some of them (classes split and join, down
+    to one row).  A SKIPPED branch has its flag set, as MbbaState.apply
+    leaves it."""
     m = draw(st.integers(1, 4))
-    nodes = draw(st.permutations(range(draw(st.integers(1, 5)))))
+    everyone = draw(st.permutations(range(draw(st.integers(1, 5)))))
     steps = []
-    for _ in range(draw(st.integers(1, 4))):
+    for _ in range(draw(st.integers(1, 5))):
+        nodes = [i for i in everyone if draw(st.booleans())] or everyone[:1]
         branches = {i: draw(st.lists(st.sampled_from(list(Branch)), min_size=m, max_size=m))
                     for i in nodes}
         flags = {

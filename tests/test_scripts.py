@@ -66,13 +66,18 @@ def _canned_run(p50, per_s, digest="d1", failed=0):
     }
 
 
-def test_bench_pairs_summary():
+@pytest.fixture(scope="module")
+def bench_pairs():
     path = ROOT / "scripts" / "bench_pairs.py"
     spec = importlib.util.spec_from_file_location("bench_pairs", path)
-    bench_pairs = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench_pairs)
-    declared = [{"name": "trial_ms_p50", "better": "lower"},
-                {"name": "trials_per_s", "better": "higher"}]
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_pairs_summary(bench_pairs):
+    declared = [{"name": "trial_ms_p50", "better": "lower", "bound": 0.15},
+                {"name": "trials_per_s", "better": "higher", "bound": 0.15}]
     parent = [(2.0, 500), (2.2, 450), (1.8, 520), (2.1, 480)]
     change = [(1.7, 560), (2.3, 440), (1.6, 530), (1.9, 490)]
     pairs = [
@@ -94,6 +99,40 @@ def test_bench_pairs_summary():
     # inclusive quartiles of 1.8, 2.0, 2.1, 2.2: 1.95 and 2.125
     assert p50["parent_iqr"] == pytest.approx(0.175)
     assert p50["pairs_change_better"] == 3  # lower is better
+    # better by more than the spread, but in 3 of 4 pairs only
+    assert not p50["claim_holds"] and p50["within_bound"]
     per_s = out["metrics"]["trials_per_s"]
     assert per_s["pairs_change_better"] == 3  # higher is better
     assert per_s["median_parent"] == 490 and per_s["median_change"] == 510
+    assert not per_s["claim_holds"] and per_s["within_bound"]
+
+
+_PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 102.25, 106.75
+
+
+@pytest.mark.parametrize("change, better, holds", [
+    ([p + 10 for p in _PARENT], "higher", True),
+    ([p - 10 for p in _PARENT], "lower", True),
+    ([p - 10 for p in _PARENT], "higher", False),
+    # nine wins of ten suffice, and a tie counts for neither side
+    ([90] + [p + 10 for p in _PARENT[1:]], "higher", True),
+    ([100] + [p + 10 for p in _PARENT[1:]], "higher", True),
+    ([90, 101] + [p + 10 for p in _PARENT[2:]], "higher", False),
+    # every pair better, but the medians differ by no more than the IQR (4.5)
+    ([p + 4.5 for p in _PARENT], "higher", False),
+    ([p + 4.6 for p in _PARENT], "higher", True),
+])
+def test_bench_pairs_claim_holds(bench_pairs, change, better, holds):
+    assert bench_pairs.claim_holds(_PARENT, change, better) is holds
+
+
+@pytest.mark.parametrize("change, better, bound, within", [
+    ([90, 90, 90], "higher", 0.10, True),   # 10% worse, as the bound allows
+    ([89, 89, 89], "higher", 0.10, False),
+    ([110, 110, 110], "lower", 0.10, True),
+    ([111, 111, 111], "lower", 0.10, False),
+    ([150, 150, 150], "higher", 0.0, True),  # better is always within
+    ([50, 50, 50], "lower", 0.0, True),
+])
+def test_bench_pairs_within_bound(bench_pairs, change, better, bound, within):
+    assert bench_pairs.within_bound([100, 100, 100], change, better, bound) is within
