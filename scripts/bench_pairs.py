@@ -12,8 +12,9 @@ of the change's BENCHMARK.json the file holds both sides' values, their
 medians, the parent's interquartile range, ``change_vs_parent`` (the relative
 difference of the medians), ``pairs_change_better``, ``claim_holds`` and
 ``within_bound`` (see :func:`claim_holds` and :func:`within_bound`), plus
-correctness, failed and attempted trials and the records digests.  The file is rewritten
-after every pair, so a cut series keeps the pairs it finished.
+correctness, failed and attempted trials, the records digests and
+``records_match`` (see :func:`records_match`).  The file is rewritten after
+every pair, so a cut series keeps the pairs it finished.
 """
 
 from __future__ import annotations
@@ -75,6 +76,13 @@ def within_bound(parent: list, change: list, better: str, bound: float) -> bool:
     return median <= base * (1 + bound)
 
 
+def records_match(digests: dict) -> bool:
+    """Whether both sides produced the same records: each side's runs gave
+    one records digest, and the two are equal."""
+    parent, change = (digests[side] for side in SIDES)
+    return len(parent) == len(change) == 1 and parent == change
+
+
 def summarize(pairs: list, declared: list) -> dict:
     """One workload's summary.
 
@@ -85,15 +93,15 @@ def summarize(pairs: list, declared: list) -> dict:
     bound.
     """
     runs = {side: [pair[side] for pair in pairs] for side in SIDES}
+    digests = {s: sorted({r["info"]["records_digest"] for r in runs[s]}) for s in SIDES}
     out = {
         "pairs": len(pairs),
         "order": [pair["order"] for pair in pairs],
         "all_correct": all(r["result"]["correct"] for side in SIDES for r in runs[side]),
         "failed_trials": {s: sum(r["result"]["failed"] for r in runs[s]) for s in SIDES},
         "attempted_trials": {s: sum(r["result"]["attempted"] for r in runs[s]) for s in SIDES},
-        "records_digest": {
-            s: sorted({r["info"]["records_digest"] for r in runs[s]}) for s in SIDES
-        },
+        "records_digest": digests,
+        "records_match": records_match(digests),
         "metrics": {},
     }
     for spec in declared:

@@ -65,8 +65,8 @@ class CrashAfterAdversary(Adversary):
     def __init__(self, crash_step: int = 0):
         self.crash_step = crash_step
 
-    def setup(self, config, registry, common, initial_vectors, rng) -> None:
-        super().setup(config, registry, common, initial_vectors, rng)
+    def setup(self, config, registry, common, initial_vectors) -> None:
+        super().setup(config, registry, common, initial_vectors)
         if initial_vectors is None:
             raise ValueError("crash_after runs the honest protocol and needs initial vectors")
         self.steps_sent = 0

@@ -3,9 +3,11 @@
 Composes the two sub-protocols over the synchronous simulator: two graded
 consensus steps, a grade-to-bit map, the iterated binary agreement on which
 components deserve a real value, then output determination.  A
-:class:`Node` runs that sequence for a class of nodes in one state;
-``run_trial`` steps the honest nodes through one full seeded execution and
-returns a transcript record with the runtime monitor verdicts.
+:class:`Node` runs that sequence for a class of nodes in one state.  A
+:class:`Trial` is one full seeded execution of the honest nodes, run one
+synchronous step at a time (``Trial.step``), with the runtime monitors
+checked after each MBBA step; ``Trial.record`` is its transcript record.
+``run_trial`` steps a trial to its end and returns that record.
 """
 
 from __future__ import annotations
@@ -177,6 +179,139 @@ def step_classes(classes: list, tallies: dict) -> list:
     return stepped
 
 
+class Trial:
+    """One full seeded execution, stepped: MGC, MBBA to halting, output
+    determination.
+
+    The honest nodes step as classes (:func:`step_classes`): ``active``
+    holds the classes still running, ``halted`` the halted ones, each in
+    the order it halted.  The monitors read one row per class, keyed by its
+    first member, and name every member only in a violation.  ``step``
+    runs one synchronous step; ``record`` builds the transcript record.
+    """
+
+    def __init__(self, config, initial_vectors, adversary=None, *, iteration_cap=ITERATION_CAP):
+        n, m = config.n, config.m
+        if len(initial_vectors) != n:
+            raise ValueError(f"need {n} initial vectors, got {len(initial_vectors)}")
+        # Each input object is checked once, keyed by identity; ``held`` keeps
+        # every keyed object alive, so no id is reused while it is a key.
+        formed: dict[int, bool] = {}
+        held = []
+        for i in config.honest_ids:
+            vector = initial_vectors[i]
+            ok = formed.get(id(vector))
+            if ok is None:
+                ok = formed[id(vector)] = is_value_vector(tuple(vector), m)
+                held.append(vector)
+            if not ok:
+                raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
+
+        self.config, self.adversary, self.iteration_cap = config, adversary, iteration_cap
+        self.net = net = SyncNetwork(config, adversary, initial_vectors)
+        self.members = members = {}  # the classes start from equal initial vectors
+        for i in config.honest_ids:
+            members.setdefault(tuple(initial_vectors[i]), []).append(i)
+        self.active = [Node(ids, n, m, v, net.registry, net.common) for v, ids in members.items()]
+        self.halted: list[Node] = []
+        self.violations: list[str] = []
+        self.persistence = PersistenceTracker(m)
+        self.mbba_steps = 0
+        self.halt_step = None
+
+    def step(self):
+        """Run one step and return its :class:`~mbasim.netsim.StepDelivery`;
+        None once the trial is over: every class halted, a monitor fired, or
+        the next MBBA step is past the iteration cap, which adds its
+        violation once."""
+        active, net, violations = self.active, self.net, self.violations
+        if not active or violations:
+            return None
+        sid = active[0].messages[0].step_id
+        in_mbba = sid.phase == Phase.MBBA
+        if in_mbba and sid.iteration >= self.iteration_cap:
+            violations.append(f"iteration cap {self.iteration_cap} exceeded")
+            return None
+        outgoing = {env.sender: env for node in active for env in node.messages}
+        delivery = net.run_step(sid, outgoing)
+        stepped = step_classes(active, net.tallies(delivery))
+        self.active = active = [node for node, _ in stepped]
+        if not in_mbba:
+            return delivery
+
+        reports = {node.ids[0]: report for node, report in stepped}
+        finalized = newly_finalized(reports, {node.ids[0]: node.mbba.flags for node in active})
+        self.mbba_steps += 1
+
+        halted = self.halted
+        for node in active:
+            if node.messages is None:
+                for env in node.finals:
+                    net.register_final(env)
+                halted.append(node)
+                self.halt_step = sid.label()
+        self.active = active = [node for node in active if node.messages is not None]
+
+        honest_bits = {node.ids[0]: tuple(node.mbba.bits) for node in halted + active}
+        fixation = fixation_violations(sid, finalized, honest_bits)
+        if fixation:  # name every member, in node then component order
+            ids_of = {node.ids[0]: node.ids for node, _ in stepped}
+            finalized = sorted((i, c) for k, c in finalized for i in ids_of[k])
+            fixation = fixation_violations(sid, finalized, honest_bits)
+        violations.extend(
+            fixation
+            + never_both_violations(sid, reports, self.config.m)
+            + self.persistence.update(sid, honest_bits)
+        )
+        return delivery
+
+    def record(self) -> TrialRecord:
+        """The transcript record of the steps run so far; outputs only once
+        every class halted, one per class, reported for each member."""
+        config, active, halted, members = self.config, self.active, self.halted, self.members
+        violations = self.violations[:]
+        halted_all = not active
+
+        outputs, iterations_used = [], self.iteration_cap
+        if halted_all:
+            iterations_used = max(node.mbba.iteration for node in halted) + 1
+            state_of = {i: node for node in halted for i in node.ids}
+            resolved = {
+                id(node): resolve_output(tuple(p.value for p in node.graded), node.mbba.output)
+                for node in halted
+            }
+            for i in config.honest_ids:
+                out, violation = resolved[id(state_of[i])]
+                if violation is not None:
+                    violations.append(f"node {i}: {violation}")
+                outputs.append(out)
+        agreement = halted_all and all(o == outputs[0] for o in outputs)
+
+        consistency = None
+        if len(members) == 1:  # unanimous honest inputs
+            consistency = agreement and outputs[0] == next(iter(members))
+
+        return TrialRecord(
+            seed=config.seed,
+            n=config.n,
+            t=config.t,
+            m=config.m,
+            adversary=getattr(self.adversary, "name", "silent"),
+            halted=halted_all,
+            mbba_iterations=iterations_used,
+            comm_steps_raw=2 + self.mbba_steps,
+            comm_steps_with_barrier=3 + self.mbba_steps,
+            halt_step=self.halt_step,
+            agreement=agreement,
+            consistency=consistency,
+            monitor_violations=violations,
+            output_vector_hex=encode_payload(outputs[0]).hex() if agreement else "",
+            ambiguous=ambiguous_components(list(members)),
+            step_log_hash=self.net.log_hash(),
+            outputs=outputs,
+        )
+
+
 def run_trial(
     config: NetworkConfig,
     initial_vectors,
@@ -185,124 +320,12 @@ def run_trial(
     on_step: Optional[Callable] = None,
     iteration_cap: int = ITERATION_CAP,
 ) -> TrialRecord:
-    """One full seeded execution: MGC, MBBA to halting, output determination.
-
-    The honest nodes step as classes (:func:`step_classes`).  The monitors
-    read one row per class, keyed by its first member, and name every member
-    only in a violation.  ``on_step``, when given, is called once per step,
-    in step order, with the step's :class:`~mbasim.netsim.StepDelivery`;
-    the trial keeps no delivery itself.
+    """Run a :class:`Trial` to its end and return its record.  ``on_step``,
+    when given, is called once per step, in step order, with the step's
+    :class:`~mbasim.netsim.StepDelivery`; the trial keeps no delivery itself.
     """
-    n, t, m = config.n, config.t, config.m
-    if len(initial_vectors) != n:
-        raise ValueError(f"need {n} initial vectors, got {len(initial_vectors)}")
-    honest = config.honest_ids
-    # Each input object is checked once, keyed by identity; ``held`` keeps
-    # every keyed object alive, so no id is reused while it is a key.
-    formed: dict[int, bool] = {}
-    held = []
-    for i in honest:
-        vector = initial_vectors[i]
-        ok = formed.get(id(vector))
-        if ok is None:
-            ok = formed[id(vector)] = is_value_vector(tuple(vector), m)
-            held.append(vector)
-        if not ok:
-            raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
-
-    net = SyncNetwork(config, adversary, initial_vectors)
-    members: dict[tuple, list] = {}  # the classes start from equal initial vectors
-    for i in honest:
-        members.setdefault(tuple(initial_vectors[i]), []).append(i)
-    active = [Node(ids, n, m, v, net.registry, net.common) for v, ids in members.items()]
-    halted: list[Node] = []
-
-    violations: list[str] = []
-    persistence = PersistenceTracker(m)
-    mbba_steps = 0
-    halt_step = None
-
-    while active:
-        sid = active[0].messages[0].step_id
-        in_mbba = sid.phase == Phase.MBBA
-        if in_mbba and sid.iteration >= iteration_cap:
-            violations.append(f"iteration cap {iteration_cap} exceeded")
-            break
-        outgoing = {env.sender: env for node in active for env in node.messages}
-        delivery = net.run_step(sid, outgoing)
+    trial = Trial(config, initial_vectors, adversary, iteration_cap=iteration_cap)
+    while (delivery := trial.step()) is not None:
         if on_step is not None:
             on_step(delivery)
-        stepped = step_classes(active, net.tallies(delivery))
-        active = [node for node, _ in stepped]
-        if not in_mbba:
-            continue
-
-        reports = {node.ids[0]: report for node, report in stepped}
-        finalized = newly_finalized(reports, {node.ids[0]: node.mbba.flags for node in active})
-        mbba_steps += 1
-
-        for node in active:
-            if node.messages is None:
-                for env in node.finals:
-                    net.register_final(env)
-                halted.append(node)
-                halt_step = sid.label()
-        active = [node for node in active if node.messages is not None]
-
-        honest_bits = {node.ids[0]: tuple(node.mbba.bits) for node in halted + active}
-        fixation = fixation_violations(sid, finalized, honest_bits)
-        if fixation:  # name every member, in node then component order
-            ids_of = {node.ids[0]: node.ids for node, _ in stepped}
-            finalized = sorted((i, c) for k, c in finalized for i in ids_of[k])
-            fixation = fixation_violations(sid, finalized, honest_bits)
-        step_violations = (
-            fixation
-            + never_both_violations(sid, reports, m)
-            + persistence.update(sid, honest_bits)
-        )
-        if step_violations:
-            violations.extend(step_violations)
-            break
-
-    state_of = {i: node for node in halted + active for i in node.ids}
-    halted_all = not active
-
-    outputs = []
-    if halted_all:  # one output per class, reported for each member
-        resolved = {
-            id(node): resolve_output(tuple(p.value for p in node.graded), node.mbba.output)
-            for node in halted
-        }
-        for i in honest:
-            out, violation = resolved[id(state_of[i])]
-            if violation is not None:
-                violations.append(f"node {i}: {violation}")
-            outputs.append(out)
-    agreement = halted_all and all(o == outputs[0] for o in outputs)
-
-    consistency = None
-    if len(members) == 1:  # unanimous honest inputs
-        consistency = agreement and outputs[0] == next(iter(members))
-
-    iterations_used = (
-        max(node.mbba.iteration + 1 for node in state_of.values()) if halted_all else iteration_cap
-    )
-    return TrialRecord(
-        seed=config.seed,
-        n=n,
-        t=t,
-        m=m,
-        adversary=getattr(adversary, "name", "silent"),
-        halted=halted_all,
-        mbba_iterations=iterations_used,
-        comm_steps_raw=2 + mbba_steps,
-        comm_steps_with_barrier=3 + mbba_steps,
-        halt_step=halt_step,
-        agreement=agreement,
-        consistency=consistency,
-        monitor_violations=violations,
-        output_vector_hex=encode_payload(outputs[0]).hex() if agreement else "",
-        ambiguous=ambiguous_components(list(members)),
-        step_log_hash=net.log_hash(),
-        outputs=outputs,
-    )
+    return trial.record()

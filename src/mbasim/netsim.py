@@ -138,22 +138,18 @@ class Adversary:
     runs after delivery, letting stateful strategies advance internal
     bookkeeping.
 
-    ``rng`` is the strategy's generator: the one ``setup`` was given, or,
-    when it was given None (as :class:`SyncNetwork` does), the trial seed's
+    ``rng`` is the strategy's generator: the trial seed's
     :func:`adversary_rng`, seeded at its first read, so a strategy that
-    draws nothing seeds none.
+    draws nothing seeds none.  Each ``setup`` starts the stream again.
     """
 
     name = "silent"
 
-    def setup(self, config: NetworkConfig, registry, common: bytes, initial_vectors, rng) -> None:
+    def setup(self, config: NetworkConfig, registry, common: bytes, initial_vectors) -> None:
         self.config = config
         self.registry = registry
         self.common = common
-        if rng is None:
-            vars(self).pop("rng", None)  # a generator of an earlier setup
-        else:
-            self.rng = rng
+        vars(self).pop("rng", None)  # the generator of an earlier setup
         self.corrupt_ids = config.corrupt_ids
 
     @cached_property
@@ -272,7 +268,7 @@ class SyncNetwork:
         self.common = common_string(config.seed)
         if adversary is None:
             adversary = Adversary()
-        adversary.setup(config, self.registry, self.common, initial_vectors, None)
+        adversary.setup(config, self.registry, self.common, initial_vectors)
         self.adversary = adversary
         self.honest_ids = config.honest_ids
         self._corrupt = frozenset(config.corrupt_ids)

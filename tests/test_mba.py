@@ -4,11 +4,12 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import build_adversary, run_mgc_phase, spy_finalizations
-from mbasim import mba, mbba, netsim
+from conftest import build_adversary, finalizations, run_mgc_phase
+from test_negative_controls import out_of_model
+from mbasim import mbba, netsim
 from mbasim.core import BOT, GradedPair, Phase, encode_envelope, ingest
 from mbasim.crypto import KeyRegistry, common_string
-from mbasim.mba import Node, grades_to_bits, resolve_output, run_trial
+from mbasim.mba import ITERATION_CAP, Node, Trial, grades_to_bits, resolve_output, run_trial
 from mbasim.mbba import Branch
 from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
@@ -149,18 +150,17 @@ class TestRunTrial:
         rec = run_trial(config, inputs, build_adversary("random_byzantine"))
         assert rec.halted and rec.agreement and not rec.monitor_violations
 
-    def test_unambiguous_components_finalize_in_first_iteration(self, monkeypatch):
+    def test_unambiguous_components_finalize_in_first_iteration(self):
         # honest nodes disagree on the first two components only; the other
         # two must be flagged during iteration 0 (MBBA's first three steps)
         # at every honest node, no matter how hard the adversary leans on them
-        steps = spy_finalizations(monkeypatch)
         for adversary in ("silent", "equivocator", "split_keeper", "random_byzantine"):
             for seed in range(8):
                 config = NetworkConfig(7, 2, 4, seed=seed, adversary=adversary)
                 inputs = build_inputs("ambiguous", (2,), config, scenario_rng(seed))
-                steps.clear()
-                rec = run_trial(config, inputs, build_adversary(adversary))
-                assert rec.halted
+                trial = Trial(config, inputs, build_adversary(adversary))
+                steps = finalizations(trial)
+                assert trial.record().halted
                 first = {pair for step in steps[:3] for pair in step}
                 for node in config.honest_ids:
                     for c in (2, 3):
@@ -182,6 +182,84 @@ class TestRunTrial:
         assert len(got) == len(delivered) and all(a is b for a, b in zip(got, delivered))
         step_ids = [step.step_id for step in got]
         assert all(a < b for a, b in zip(step_ids, step_ids[1:]))
+
+
+def stepped(trial: Trial) -> list:
+    """Step ``trial`` by hand until it is over; returns its deliveries."""
+    deliveries = []
+    while (delivery := trial.step()) is not None:
+        deliveries.append(delivery)
+    return deliveries
+
+
+# How a trial ends: (config, scenario, adversary, iteration cap).
+ENDINGS = {
+    "halted": (NetworkConfig(7, 2, 4, 3), ("ambiguous", (4,)), ("split_keeper", ()), ITERATION_CAP),
+    "iteration cap": (NetworkConfig(7, 2, 4, 4), ("ambiguous", (4,)), ("split_keeper", ()), 1),
+    "persistence": (out_of_model(3, 1, 4, 0), ("unanimous", ()), ("silent", ()), 60),
+    "output-soundness": (
+        out_of_model(5, 2, 1, 18), ("split", ()), ("random_byzantine", ()), ITERATION_CAP
+    ),
+}
+
+
+class TestTrial:
+    """A :class:`Trial` is ``run_trial`` one step at a time: stepped by
+    hand, it delivers and records what ``run_trial`` does."""
+
+    @staticmethod
+    def ending(name):
+        """``run_trial``'s record of the ending and a fresh trial of it."""
+        config, scenario, adversary, cap = ENDINGS[name]
+        inputs = build_inputs(*scenario, config, scenario_rng(config.seed))
+        record = run_trial(config, inputs, build_adversary(*adversary), iteration_cap=cap)
+        return record, Trial(config, inputs, build_adversary(*adversary), iteration_cap=cap)
+
+    @pytest.mark.parametrize("name, params", [
+        ("silent", ()), ("crash_after", (3,)), ("equivocator", ()), ("split_keeper", ()),
+        ("random_byzantine", ()),
+    ])
+    def test_stepping_by_hand_delivers_and_records_as_run_trial(self, name, params):
+        config = NetworkConfig(7, 2, 4, 3)
+        inputs = build_inputs("ambiguous", (4,), config, scenario_rng(3))
+        ran = []
+        rec = run_trial(config, inputs, build_adversary(name, params), on_step=ran.append)
+        trial = Trial(config, inputs, build_adversary(name, params))
+        steps = stepped(trial)
+        assert rec.halted and len(steps) == rec.comm_steps_raw >= 3
+        assert [d.step_id for d in steps] == [d.step_id for d in ran]
+        assert [d.shared_encoded for d in steps] == [d.shared_encoded for d in ran]
+        assert [d.parts_encoded for d in steps] == [d.parts_encoded for d in ran]
+        assert trial.record().to_json_dict() == rec.to_json_dict()
+
+    @pytest.mark.parametrize("name", ENDINGS)
+    def test_an_ended_trial_records_as_run_trial_and_steps_no_more(self, name):
+        rec, trial = self.ending(name)
+        steps = stepped(trial)
+        assert len(steps) == rec.comm_steps_raw
+        active, halted, violations = trial.active[:], trial.halted[:], trial.violations[:]
+        log = trial.net.log_hash()
+        first = trial.record()
+        assert first == rec and first.to_json_dict() == rec.to_json_dict()
+        assert trial.step() is None and trial.step() is None
+        assert (trial.active, trial.halted, trial.violations) == (active, halted, violations)
+        assert trial.net.log_hash() == log
+        assert trial.record() == first  # the record's violations are a copy
+        assert first.halted == (name in ("halted", "output-soundness"))
+
+    @pytest.mark.parametrize("name, violation", [
+        ("iteration cap", "iteration cap 1 exceeded"),
+        ("persistence", "persistence: "),
+        ("output-soundness", "node 0: output-soundness: bit 0 at component 0 over local BOT"),
+    ])
+    def test_a_violation_ends_stepping_as_in_run_trial(self, name, violation):
+        rec, trial = self.ending(name)
+        stepped(trial)
+        assert any(v.startswith(violation) for v in rec.monitor_violations)
+        if name == "output-soundness":  # found when the record resolves the outputs
+            assert trial.violations == [] and not trial.active
+        else:  # the cap or a monitor ended stepping
+            assert trial.violations == rec.monitor_violations and trial.active
 
 
 class TestPerTallyResults:
@@ -272,20 +350,15 @@ class TestNode:
     """A class's states hold no identity: the node signs and addresses every
     member's copy of one payload."""
 
-    def test_coin_step_envelopes_carry_their_senders_signatures(self, monkeypatch):
-        real = mba.step_classes
-        sent = []  # the messages of every class in a coin step
-
-        def step_classes(classes, tallies):
-            sent.extend(node.messages for node in classes if node.messages[0].step_id.coin)
-            return real(classes, tallies)
-
-        monkeypatch.setattr(mba, "step_classes", step_classes)
+    def test_coin_step_envelopes_carry_their_senders_signatures(self):
         config = NetworkConfig(7, 2, 4, 0)
         inputs = build_inputs("ambiguous", (4,), config, scenario_rng(0))
-        steps = []
-        rec = run_trial(config, inputs, build_adversary("split_keeper"), on_step=steps.append)
-        assert rec.halted and any(step.step_id.coin for step in steps)
+        trial = Trial(config, inputs, build_adversary("split_keeper"))
+        sent = []  # the messages of every class in a coin step
+        while trial.active:
+            sent.extend(node.messages for node in trial.active if node.messages[0].step_id.coin)
+            assert trial.step() is not None
+        assert trial.record().halted and sent
         registry, common = KeyRegistry.from_seed(0, 7), common_string(0)
         assert any(len(messages) > 1 for messages in sent)
         for messages in sent:

@@ -2,7 +2,6 @@
 fast-path tallies, and the runtime monitors."""
 
 import os
-import random
 import subprocess
 import sys
 from pathlib import Path
@@ -447,9 +446,6 @@ class TestFirstUse:
         assert first == [reference.random() for _ in range(3)]
         SyncNetwork(config, adversary)  # a new setup starts the stream again
         assert [adversary.rng.random() for _ in range(3)] == first
-        given = random.Random(9)
-        adversary.setup(config, None, b"", None, given)
-        assert adversary.rng is given
 
 
 # A trial whose adversary sends components with no canonical bytes: an

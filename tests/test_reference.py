@@ -1,4 +1,4 @@
-"""run_trial, which steps honest nodes as classes, against the per-node
+"""``mba.Trial``, which steps honest nodes as classes, against the per-node
 reference driver in ``reference_engine.py``."""
 
 from dataclasses import replace
@@ -8,11 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_engine
-from conftest import build_adversary, spy_finalizations
+from conftest import build_adversary, finalizations
 from mbasim import mba
 from mbasim.adversaries import SplitKeeperAdversary
 from mbasim.core import BOT, MessageEnvelope, Phase, StepId
-from mbasim.mba import ITERATION_CAP, run_trial
+from mbasim.mba import ITERATION_CAP, Trial
 from mbasim.mbba import Branch
 from mbasim.netsim import Adversary, NetworkConfig, never_both_violations
 from mbasim.scenarios import build_inputs, scenario_rng
@@ -109,11 +109,13 @@ def trials(draw, adversary):
 
 
 def both(config, inputs, adversary, cap):
-    """The records of ``run_trial`` and of the per-node reference; asserts
-    that every MBBA step finalized the same (node, component) pairs in both."""
+    """The records of a class-stepped :class:`Trial` and of the per-node
+    reference; asserts that every MBBA step finalized the same (node,
+    component) pairs in both."""
+    trial = Trial(config, inputs, make(*adversary), iteration_cap=cap)
+    class_steps = finalizations(trial)
+    classes = trial.record()
     with pytest.MonkeyPatch.context() as patch:
-        class_steps = spy_finalizations(patch)
-        classes = run_trial(config, inputs, make(*adversary), iteration_cap=cap)
         node_steps = []
         real = reference_engine.newly_finalized
         patch.setattr(reference_engine, "newly_finalized",
@@ -166,7 +168,7 @@ def test_coin_step_noise_matches_per_node_reference(n, t, m, ambiguous):
 
 @pytest.mark.parametrize("adversary", [(name, ()) for name in ADVERSARIES] + [("crash_after", (3,))])
 def test_violations_name_every_member(adversary, monkeypatch):
-    # A monitor that flags every newly finalized component makes run_trial
+    # A monitor that flags every newly finalized component makes the trial
     # expand its class rows: the strings must name each node, in node order.
     def flag_all(step_id, finalized, honest_bits):
         return [f"fixation: node {i} component {c} at {step_id.label()}" for i, c in finalized]

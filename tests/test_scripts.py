@@ -91,6 +91,7 @@ def test_bench_pairs_summary(bench_pairs):
     assert out["failed_trials"] == {"parent": 0, "change": 1}
     assert out["attempted_trials"] == {"parent": 400, "change": 400}
     assert out["records_digest"] == {"parent": ["d1"], "change": ["d1"]}
+    assert out["records_match"] is True
     p50 = out["metrics"]["trial_ms_p50"]
     assert p50["parent"] == [2.0, 2.2, 1.8, 2.1] and p50["change"] == [1.7, 2.3, 1.6, 1.9]
     assert p50["median_parent"] == pytest.approx(2.05)
@@ -105,6 +106,19 @@ def test_bench_pairs_summary(bench_pairs):
     assert per_s["pairs_change_better"] == 3  # higher is better
     assert per_s["median_parent"] == 490 and per_s["median_change"] == 510
     assert not per_s["claim_holds"] and per_s["within_bound"]
+
+
+@pytest.mark.parametrize("parent, change, match", [
+    (["d1", "d1"], ["d1", "d1"], True),
+    (["d1", "d1"], ["d2", "d2"], False),  # the two sides differ
+    (["d1", "d2"], ["d1", "d2"], False),  # a side's runs differ among themselves
+    (["d1", "d1"], ["d1", "d2"], False),
+])
+def test_bench_pairs_records_match(bench_pairs, parent, change, match):
+    pairs = [{"order": "parent first", "parent": _canned_run(2.0, 500, digest=p),
+              "change": _canned_run(2.0, 500, digest=c)} for p, c in zip(parent, change)]
+    declared = [{"name": "trial_ms_p50", "better": "lower", "bound": 0.15}]
+    assert bench_pairs.summarize(pairs, declared)["records_match"] is match
 
 
 _PARENT = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]  # quartiles 102.25, 106.75
