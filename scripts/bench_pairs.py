@@ -13,20 +13,49 @@ medians, the parent's interquartile range, ``change_vs_parent`` (the relative
 difference of the medians), ``pairs_change_better``, ``claim_holds`` and
 ``within_bound`` (see :func:`claim_holds` and :func:`within_bound`), plus
 correctness, failed and attempted trials, the records digests and
-``records_match`` (see :func:`records_match`).  The file is rewritten after
-every pair, so a cut series keeps the pairs it finished.
+``records_match`` (see :func:`records_match`).  ``code_lines`` holds each
+checkout's number of code lines in ``src/mbasim`` (see :func:`code_lines`).
+The file is rewritten after every pair, so a cut series keeps the pairs it
+finished.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import io
 import json
 import statistics
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 
 SIDES = ("parent", "change")
+_LAYOUT = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT,
+           tokenize.ENCODING, tokenize.ENDMARKER}
+
+
+def code_lines(source: str) -> int:
+    """Lines of ``source`` that hold code: non-blank, not only a comment,
+    and not part of a module, class or function docstring.  Every line of a
+    token that spans lines counts, so a multi-line string that is not a
+    docstring is code."""
+    docstrings = set()
+    for node in ast.walk(ast.parse(source)):
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+                and ast.get_docstring(node, clean=False) is not None):
+            docstrings.update(range(node.body[0].lineno, node.body[0].end_lineno + 1))
+    lines = set()
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type not in _LAYOUT:
+            lines.update(range(tok.start[0], tok.end[0] + 1))
+    return len(lines - docstrings)
+
+
+def package_code_lines(checkout: Path) -> int:
+    """The code lines of every module in ``checkout``'s ``src/mbasim``."""
+    return sum(code_lines(path.read_text()) for path in (checkout / "src/mbasim").glob("*.py"))
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -148,6 +177,7 @@ def main(argv=None) -> int:
                  " odd pairs); each runs from its own checkout on the same machine, one run at a"
                  " time; all pairs of a workload run before the next workload",
         "environment": {},
+        "code_lines": {side: package_code_lines(checkouts[side]) for side in SIDES},
         "workloads": {},
     }
     for workload in workloads:

@@ -12,12 +12,16 @@ different messages in the same step is removed from the count entirely.
 Equivocation is judged per step only; a sender may legitimately change its
 message between steps.  A tally keeps its step's rules, its phase and its
 signature check, so every part merged onto it is admitted by the same rules.
+
+The records that cross the wire, :class:`StepId` and :class:`MessageEnvelope`,
+are NamedTuples: immutable, equal to the plain tuple of their fields, and
+copied with ``_replace``.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 from typing import Callable, Iterable, NamedTuple, Optional
 
@@ -55,42 +59,7 @@ class StepId(NamedTuple):
         return self.step == 3 and self.phase == Phase.MBBA
 
 
-def _init_through_slots(cls: type) -> type:
-    """Give the frozen slotted dataclass ``cls`` an ``__init__`` that sets
-    each field through its slot's member descriptor.
-
-    The ``__init__`` that ``dataclass`` writes for a frozen class sets every
-    field through ``object.__setattr__``, which looks the slot up by name on
-    each call; this one holds the descriptors' setters.  It has the same
-    signature, defaults and annotations, and runs ``__post_init__`` when the
-    class has one, so equality, hashing, ``repr``, ``dataclasses.replace``
-    and the frozen instances are as ``dataclass`` makes them.
-    """
-    namespace: dict = {}
-    params, body = [], []
-    for f in fields(cls):
-        if f.default_factory is not MISSING or not f.init:
-            raise TypeError(f"{cls.__name__}.{f.name}: only plain fields are supported")
-        namespace[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
-        if f.default is MISSING:
-            params.append(f.name)
-        else:
-            namespace[f"_default_{f.name}"] = f.default
-            params.append(f"{f.name}=_default_{f.name}")
-        body.append(f"    _set_{f.name}(self, {f.name})")
-    if hasattr(cls, "__post_init__"):
-        body.append("    self.__post_init__()")
-    exec(f"def __init__(self, {', '.join(params)}):\n" + "\n".join(body), namespace)
-    init = namespace["__init__"]
-    init.__module__, init.__qualname__ = cls.__module__, f"{cls.__qualname__}.__init__"
-    init.__annotations__ = {f.name: f.type for f in fields(cls)} | {"return": None}
-    cls.__init__ = init
-    return cls
-
-
-@_init_through_slots
-@dataclass(frozen=True, slots=True)
-class MessageEnvelope:
+class MessageEnvelope(NamedTuple):
     """The only thing that crosses the simulated wire.
 
     ``final`` is the finality marker: receivers treat a final message as the
@@ -105,8 +74,7 @@ class MessageEnvelope:
     final: bool = False
 
 
-@_init_through_slots
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class GradedPair:
     """Graded-consensus output component: a value with confidence 0, 1 or 2."""
 
@@ -434,9 +402,11 @@ def encode_payload(payload: tuple) -> bytes:
     or b'\\x01' + 4-byte length + bytes.  Any other tuple is b'T' + 4-byte
     component count + each component type-tagged (:func:`_encode_component`),
     so a bool, an enum member, a float or a subclass never aliases a bit or
-    a value.  A payload that is not a tuple is the opaque tag alone.  Only
-    opaque things share an encoding, and none depends on ``repr``, object
-    addresses or the hash seed.
+    a value.  A NamedTuple is a tuple: an envelope nested as a payload is a
+    ``T`` payload of its five fields, its step id and payload opaque.  A
+    payload that is not a tuple is the opaque tag alone.  Only opaque things
+    share an encoding, and none depends on ``repr``, object addresses or the
+    hash seed.
     """
     if not isinstance(payload, tuple):
         return _OPAQUE

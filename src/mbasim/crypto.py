@@ -29,7 +29,7 @@ def digest(data: bytes) -> bytes:
     return hashlib.sha256(data).digest()
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class KeyPair:
     node: int
     secret: bytes

@@ -272,9 +272,8 @@ class Trial:
         violations = self.violations[:]
         halted_all = not active
 
-        outputs, iterations_used = [], self.iteration_cap
+        outputs = []
         if halted_all:
-            iterations_used = max(node.mbba.iteration for node in halted) + 1
             state_of = {i: node for node in halted for i in node.ids}
             resolved = {
                 id(node): resolve_output(tuple(p.value for p in node.graded), node.mbba.output)
@@ -298,7 +297,7 @@ class Trial:
             m=config.m,
             adversary=getattr(self.adversary, "name", "silent"),
             halted=halted_all,
-            mbba_iterations=iterations_used,
+            mbba_iterations=-(-self.mbba_steps // 3),  # the MBBA iterations begun
             comm_steps_raw=2 + self.mbba_steps,
             comm_steps_with_barrier=3 + self.mbba_steps,
             halt_step=self.halt_step,

@@ -72,6 +72,7 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
     violations = []
     persistence = PersistenceTracker(m)
     mbba_steps = 0
+    last_mbba = None  # the id of the last MBBA step run
     halt_step = None
     capped = False
 
@@ -102,6 +103,7 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
             branch_reports, {i: node.mbba.flags for i, node in active.items()}
         )
         mbba_steps += 1
+        last_mbba = sid
 
         for node in active.values():
             if node.messages is None:
@@ -141,9 +143,7 @@ def run_trial_per_node(config, initial_vectors, adversary=None, *, iteration_cap
     if unanimous:
         consistency = agreement and outputs[0] == tuple(initial_vectors[honest[0]])
 
-    iterations_used = (
-        max(st.iteration + 1 for st in mbba_states.values()) if halted_all else iteration_cap
-    )
+    iterations_used = 0 if last_mbba is None else last_mbba.iteration + 1
     return TrialRecord(
         seed=config.seed,
         n=n,

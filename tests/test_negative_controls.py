@@ -50,3 +50,11 @@ def test_output_soundness_fires_out_of_model(n, t, seed):
     assert "node 0: output-soundness: bit 0 at component 0 over local BOT" in (
         record.monitor_violations
     )
+
+
+def test_stopped_trial_records_the_iterations_begun():
+    # persistence stops this trial in MBBA step mbba:0:2, so one iteration
+    # was begun, however high the cap
+    record = run(out_of_model(3, 1, 4, 0), "silent", "unanimous")
+    assert not record.halted and record.monitor_violations
+    assert record.comm_steps_raw == 4 and record.mbba_iterations == 1

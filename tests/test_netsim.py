@@ -136,9 +136,10 @@ class TestDelivery:
             MessageEnvelope(3, tuple(SID), (1,)),
             MessageEnvelope(3, StepId(Phase.MBBA, 0.0, 1), (1,)),
             MessageEnvelope(3, SID, (1,), final=2),
+            tuple(MessageEnvelope(3, SID, (1,))),
         ],
         ids=["none", "str-sig", "int-sig", "empty-sig", "long-sig", "float-sender", "tuple-step",
-             "float-iteration", "int-final"],
+             "float-iteration", "int-final", "plain-tuple"],
     )
     @pytest.mark.parametrize("shape", ["list", "dict"])
     def test_malformed_output_rejected(self, item, shape):

@@ -1,8 +1,6 @@
 """``mba.Trial``, which steps honest nodes as classes, against the per-node
 reference driver in ``reference_engine.py``."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,9 +61,9 @@ class NoisySplitKeeper(SplitKeeperAdversary):
         for r, envs in sends.items():
             roll = rng.random()
             if roll < 0.2:
-                envs = [replace(env, signature=None) for env in envs]
+                envs = [env._replace(signature=None) for env in envs]
             elif roll < 0.4:
-                envs = [replace(env, signature=rng.randbytes(32)) for env in envs]
+                envs = [env._replace(signature=rng.randbytes(32)) for env in envs]
             noisy[r] = envs
         return noisy
 

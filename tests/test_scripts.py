@@ -150,3 +150,34 @@ def test_bench_pairs_claim_holds(bench_pairs, change, better, holds):
 ])
 def test_bench_pairs_within_bound(bench_pairs, change, better, bound, within):
     assert bench_pairs.within_bound([100, 100, 100], change, better, bound) is within
+
+
+_SOURCE = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment after code counts
+
+# a comment line
+
+
+def f(a, b):
+    """Function docstring."""
+    total = sum(
+        [a, b],
+    )
+    """A bare string after the first statement is code,
+    every line of it."""
+    return total
+
+
+class C:
+    \'\'\'Class docstring.\'\'\'
+
+    x = 1
+'''
+
+
+def test_bench_pairs_code_lines(bench_pairs):
+    # import, def, sum( , [a, b], ), the two string lines, return, class, x
+    assert bench_pairs.code_lines(_SOURCE) == 10
+    assert bench_pairs.code_lines("") == 0
