@@ -125,7 +125,8 @@ class Adversary:
     equivocation) or a list, which means that same list for every honest
     recipient; the two shapes deliver and log identically.  The list, and
     each value of the dict, may be any iterable of items; anything else
-    (``None``, an ``int``, a bare envelope) raises :class:`SimulationError`.
+    (``None``, an ``int``) raises :class:`SimulationError`, and so does a
+    bare envelope, a tuple whose items are its fields.
     Every item must be a :class:`MessageEnvelope` whose sender is an ``int``
     among the corrupt ids, whose ``step_id`` is a ``StepId`` of ints equal
     to the current step, whose ``final`` is a ``bool`` and whose signature

@@ -238,9 +238,10 @@ def test_records_are_frozen_values(cls, signature, args, changes):
     params = inspect.signature(cls).parameters.values()
     shown = [p.name if p.default is p.empty else f"{p.name}={p.default!r}" for p in params]
     assert ", ".join(shown) == signature
-    values = {p.name: p.default for p in params} | dict(zip((p.name for p in params), args))
+    names = [p.name for p in params]
+    values = {p.name: p.default for p in params} | dict(zip(names, args))
     record = cls(*args)
-    assert [getattr(record, name) for name in values] == list(values.values())
+    assert [getattr(record, name) for name in names] == list(values.values())
     assert record == cls(**values) and hash(record) == hash(cls(**values))
     fields_repr = ", ".join(f"{name}={value!r}" for name, value in values.items())
     assert repr(record) == f"{cls.__name__}({fields_repr})"
@@ -250,7 +251,7 @@ def test_records_are_frozen_values(cls, signature, args, changes):
     else:
         changed = dataclasses.replace(record, **changes)
     assert type(changed) is cls and changed == cls(**{**values, **changes}) and changed != record
-    for name in values:
+    for name in names:
         with pytest.raises(AttributeError):
             setattr(record, name, getattr(record, name))
         with pytest.raises(AttributeError):
