@@ -13,6 +13,12 @@ Equivocation is judged per step only; a sender may legitimately change its
 message between steps.  A tally keeps its step's rules, its phase and its
 signature check, so every part merged onto it is admitted by the same rules.
 
+Admission reads a payload's form from its code, its canonical encoding
+(:func:`encode_payload`): a payload of m components is a value vector when
+its code starts with ``V`` and a bit vector when it starts with ``B``.  The
+step's table keeps each payload object's code, so a payload is encoded once
+per step and envelopes that encode alike are admitted alike.
+
 The records that cross the wire, :class:`StepId` and :class:`MessageEnvelope`,
 are NamedTuples: immutable, equal to the plain tuple of their fields, and
 copied with ``_replace``.
@@ -121,25 +127,19 @@ def is_value_vector(payload: tuple, m: int) -> bool:
     return len(payload) == m and set(map(type, payload)) <= _VALUE_TYPES
 
 
-def _payload_formed(payload, m: int, phase: Phase) -> bool:
-    """m values in an MGC step, m bits in an MBBA step."""
-    if not isinstance(payload, tuple):
-        return False
-    if phase == Phase.MBBA:
-        return is_bit_vector(payload, m)
-    return is_value_vector(payload, m)
-
-
 def well_formed(env: MessageEnvelope, m: int, phase: Phase) -> bool:
-    """Formatting check for one envelope of a ``phase`` step: m values in
-    MGC, m bits in MBBA.
+    """Formatting check for one envelope of a ``phase`` step: a tuple of m
+    values in MGC, of m bits in MBBA, checked by component types, the rule
+    that :func:`ingest` reads from the payload's code.
 
     A final envelope must carry a bit vector; in particular it can never be
     well-formed during an MGC step.
     """
-    if env.final and phase == Phase.MGC:
+    if not isinstance(env.payload, tuple) or (env.final and phase == Phase.MGC):
         return False
-    return _payload_formed(env.payload, m, phase)
+    if phase == Phase.MBBA:
+        return is_bit_vector(env.payload, m)
+    return is_value_vector(env.payload, m)
 
 
 class Tally:
@@ -212,25 +212,26 @@ class BitTally(Tally):
 _CONFLICT = object()
 
 
-def _admit(envelopes, m: int, phase: Phase, signature_check) -> dict:
+def _admit(envelopes, m: int, phase: Phase, signature_check, codes: Optional[dict]) -> dict:
     """The discarding rules: sender -> its one admissible envelope, in
     first-seen order.
 
-    Each payload object is checked for form once (:func:`well_formed`),
-    keyed by identity; ``held`` keeps every keyed payload alive for the call,
-    so no id is reused by another payload while it is a key.
+    A payload is well-formed when its code starts with the phase's tag
+    (``V`` in MGC, ``B`` in MBBA) and it has m components.  ``codes`` is the
+    step's table, id of a payload -> (payload, :func:`encode_payload`); a
+    payload missing from it is encoded once and added, and the table holds
+    every payload it keys, so no id is reused while it is a key.
     """
     by_sender: dict[int, object] = {}
-    formed: dict[int, bool] = {}  # id of a payload -> whether it is well-formed
-    held = []
+    codes = {} if codes is None else codes
+    tag = b"VB"[phase]
     mgc = phase == Phase.MGC
     for env in envelopes:
         payload = env.payload
-        ok = formed.get(id(payload))
-        if ok is None:
-            ok = formed[id(payload)] = _payload_formed(payload, m, phase)
-            held.append(payload)
-        if not ok or (env.final and mgc):
+        entry = codes.get(id(payload)) or codes.setdefault(
+            id(payload), (payload, encode_payload(payload))
+        )
+        if entry[1][0] != tag or len(payload) != m or (env.final and mgc):
             continue
         if signature_check is not None and not env.final and not signature_check(env):
             continue
@@ -289,6 +290,7 @@ def ingest(
     m: int,
     phase: Phase,
     signature_check: Optional[Callable[[MessageEnvelope], bool]] = None,
+    codes: Optional[dict] = None,
 ) -> Tally:
     """Build a Tally from one step's inbox, applying the discarding rules of
     a ``phase`` step.
@@ -301,21 +303,26 @@ def ingest(
     participates like any other.  The tally keeps m, the phase and the check,
     and :func:`merge_tallies` admits a further sender group by them.
 
-    The form of each payload object is checked once, however many envelopes
-    carry it; the duplicate, equivocation and signature rules apply per
-    sender.  ``step_messages`` may be any iterable, a generator included.
+    A payload's form is read from its code in ``codes``, the step's table
+    of payload encodings, once per payload object however many envelopes
+    carry it (:func:`_admit`); without a table, each call keeps its own.
+    The duplicate, equivocation and signature rules apply per sender.
+    ``step_messages`` may be any iterable, a generator included.
     """
-    admitted = _admit(step_messages, m, phase, signature_check)
+    admitted = _admit(step_messages, m, phase, signature_check, codes)
     if phase == Phase.MBBA:
         return _bit_tally(m, admitted, _add_bits([0] * m, admitted), signature_check)
     return Tally(m, admitted, _add_values([{} for _ in range(m)], admitted), signature_check)
 
 
-def merge_tallies(base: Tally, envelopes: Iterable[MessageEnvelope]) -> Tally:
+def merge_tallies(
+    base: Tally, envelopes: Iterable[MessageEnvelope], codes: Optional[dict] = None
+) -> Tally:
     """``base`` plus the envelopes of a sender-disjoint group, in one pass.
 
     The envelopes are admitted by :func:`ingest`'s discarding rules, with m,
-    the phase and the signature check read from ``base``, and their votes
+    the phase and the signature check read from ``base`` and the payload
+    codes from ``codes`` (as in :func:`ingest`), and their votes
     are added onto a copy of ``base``'s counts; ``base`` is left as it was,
     and the result keeps its rules.  The simulator tallies the shared
     broadcast picture once and merges each adversary part onto it.  An
@@ -323,7 +330,7 @@ def merge_tallies(base: Tally, envelopes: Iterable[MessageEnvelope]) -> Tally:
     duplicate and equivocation detection cannot see across the groups.
     """
     m, phase, check = base.m, base.phase, base.signature_check
-    added = _admit(envelopes, m, phase, check)
+    added = _admit(envelopes, m, phase, check, codes)
     if not base.admitted.keys().isdisjoint(added):
         overlap = sorted(base.admitted.keys() & added.keys())
         raise ValueError(f"tally sender groups overlap: {overlap}")
@@ -376,6 +383,8 @@ _COMPONENT_KINDS = (
     (str, b"s", lambda v: str.encode(v, "utf-8", "surrogatepass")),
 )
 _OPAQUE = b"?"
+# The V-path code of BOT and of every one-byte value.
+_V_CODES = {BOT: b"\x00", **{bytes([i]): b"\x01\x00\x00\x00\x01" + bytes([i]) for i in range(256)}}
 
 
 def _encode_component(v) -> bytes:
@@ -415,7 +424,7 @@ def encode_payload(payload: tuple) -> bytes:
         return b"B" + bytes(payload)
     if types <= _VALUE_TYPES:
         return b"V" + b"".join(
-            [b"\x00" if v is BOT else b"\x01" + _LENGTH.pack(len(v)) + v for v in payload]
+            [_V_CODES.get(v) or b"\x01" + _LENGTH.pack(len(v)) + v for v in payload]
         )
     return b"T" + _LENGTH.pack(len(payload)) + b"".join(map(_encode_component, payload))
 

@@ -91,7 +91,7 @@ class Node:
     ``graded`` is None until MGC's second step, then the graded pairs that
     MBBA's bits start from and the output resolves against.  ``mgc`` is
     immutable and ``graded`` is never changed, so a split shares both.
-    ``advance(tally)`` steps the class on its members' tally.
+    ``advance(tally, payloads)`` steps the class on its members' tally.
     """
 
     def __init__(self, ids, n: int, m: int, initial, registry, common: bytes):
@@ -120,15 +120,19 @@ class Node:
             )
         return twin
 
-    def advance(self, tally) -> Optional[list]:
+    def advance(self, tally, payloads: Optional[dict] = None) -> Optional[list]:
         """Step on this step's tally; returns the MBBA branch report, or
-        None during MGC."""
+        None during MGC.  ``payloads`` is the step's dict of the payloads
+        sent so far: a class sends a payload equal to one there as that
+        object, so the network encodes, checks and counts it once."""
         mgc, mbba, branches = self.mgc, self.mbba, None
+        payloads = {} if payloads is None else payloads
         if mbba is not None:
             sid = mbba.step_id()
             branches = mbba.apply(tally)
         elif self.messages[0].step_id == STEP1_ID:
-            self.messages = self._sends(STEP2_ID, mgc.step2_compute(tally))
+            relay = mgc.step2_compute(tally)
+            self.messages = self._sends(STEP2_ID, payloads.setdefault(relay, relay))
             return None
         else:
             self.graded = mgc.output_determination(tally)
@@ -138,7 +142,7 @@ class Node:
         if bits is None:  # halted: the finals keep the halting step's id
             self.messages, self.finals = None, self._sends(sid, mbba.output, final=True)
         else:
-            self.messages = self._sends(mbba.step_id(), bits)
+            self.messages = self._sends(mbba.step_id(), payloads.setdefault(bits, bits))
         return branches
 
 
@@ -149,7 +153,9 @@ def step_classes(classes: list, tallies: dict) -> list:
     per tally, and classes in equal states that hold one tally join.  Equal
     states have equal MBBA bits and flags, the only state the transitions
     read besides the tally, and one graded-values object, which the output
-    reads.  In MGC the transitions read only the tally.
+    reads.  In MGC the transitions read only the tally.  The classes share
+    one dict of the step's payloads (:meth:`Node.advance`), so classes that
+    send equal payloads send one object.
     """
     held: dict[int, list] = {}  # id of a tally -> the classes that hold it
     for node in classes:
@@ -163,6 +169,7 @@ def step_classes(classes: list, tallies: dict) -> list:
                 held.setdefault(id(tallies[ids[0]]), []).append(node.split(ids))
         held.setdefault(id(tally), []).append(node)
     stepped = []
+    payloads: dict = {}  # the step's payloads; equal ones are one object
     for group in held.values():
         if len(group) > 1:
             joined: dict = {}  # state -> the class of lowest first member in it
@@ -174,7 +181,7 @@ def step_classes(classes: list, tallies: dict) -> list:
                     kept.ids = sorted(kept.ids + node.ids)
             group = joined.values()
         for node in group:
-            stepped.append((node, node.advance(tallies[node.ids[0]])))
+            stepped.append((node, node.advance(tallies[node.ids[0]], payloads)))
     stepped.sort(key=lambda pair: pair[0].ids[0])
     return stepped
 

@@ -21,12 +21,15 @@ its envelopes by those rules and adds them onto it
 (:meth:`SyncNetwork.tallies`).
 An adversary's list output is that list for every recipient.  Each list is
 checked and encoded where its part is built; recipients without replays
-that share a list or tuple share its part.  Checked envelopes that
-encode alike tally alike (see :class:`Adversary`), so recipients whose parts
-encode alike share one part, one step-log entry and one tally, whatever the
-output shape.  Honest nodes with one state and one tally step as one class
-(:func:`mbasim.mba.step_classes`), whose members' payload is encoded once
-and, when tallied, checked once and counted as one weighted column.
+that share a list or tuple share its part.  ``run_step`` encodes every
+payload object of the step once, honest, replayed or adversarial, into the
+step's table (``StepDelivery.codes``), and the tallies admit each payload
+by that code (:func:`mbasim.core.ingest`).  So checked envelopes that
+encode alike tally alike, and recipients whose parts encode alike share one
+part, one step-log entry and one tally, whatever the output shape.  Honest
+nodes with one state and one tally step as one class
+(:func:`mbasim.mba.step_classes`), and classes that send equal payloads send
+one object, which is encoded once and counted as one weighted column.
 
 A trial pays for what it uses: the nodes' keys are derived when something
 first signs or verifies (a coin step), and the adversary's generator is
@@ -126,14 +129,15 @@ class Adversary:
     recipient; the two shapes deliver and log identically.  The list, and
     each value of the dict, may be any iterable of items; anything else
     (``None``, an ``int``) raises :class:`SimulationError`, and so does a
-    bare envelope, a tuple whose items are its fields.
+    bare envelope in place of the list or as a dict value.
     Every item must be a :class:`MessageEnvelope` whose sender is an ``int``
     among the corrupt ids, whose ``step_id`` is a ``StepId`` of ints equal
     to the current step, whose ``final`` is a ``bool`` and whose signature
     is None or 1 to 65535 ``bytes``; anything else raises
     :class:`SimulationError` (:class:`SpoofingError` for an honest sender).
     The payload may be anything: malformed payloads are dropped when
-    tallied.  Each list is checked and encoded where its part is built;
+    tallied, by their code, so checked envelopes that encode alike tally
+    alike.  Each list is checked and encoded where its part is built;
     recipients without replays that share a list or tuple share its part.
     Strategies sign through :meth:`signatures`.  ``end_step``
     runs after delivery, letting stateful strategies advance internal
@@ -199,13 +203,16 @@ def _check_sent(env, step_id: StepId, corrupt: frozenset) -> None:
 
 def _items(sent):
     """The adversary's sends to one recipient as a list or tuple; raise
-    SimulationError when they are not an iterable of items."""
+    SimulationError when they are not an iterable of items.  An envelope is
+    an item, never a container, though it iterates as its fields."""
     if type(sent) is list or type(sent) is tuple:
         return sent
-    try:
-        return list(sent)
-    except TypeError:
-        raise SimulationError(f"adversary output of type {type(sent).__name__}") from None
+    if not isinstance(sent, MessageEnvelope):
+        try:
+            return list(sent)
+        except TypeError:
+            pass
+    raise SimulationError(f"adversary output of type {type(sent).__name__}")
 
 
 @dataclass(slots=True)
@@ -221,7 +228,10 @@ class StepDelivery:
     Recipients whose parts encode alike share one part (the envelopes of the
     first of them).  ``shared_encoded`` and ``parts_encoded`` carry the
     encodings position for position; they fix the delivery order and feed
-    the step-log hash.  ``tally`` is the tally of ``shared``.
+    the step-log hash.  ``tally`` is the tally of ``shared``.  ``codes`` is
+    the step's table, id of each payload object -> (payload, its code), which
+    :meth:`SyncNetwork.tallies` admits the parts by; it holds every payload
+    it keys.
     """
 
     step_id: StepId
@@ -231,6 +241,7 @@ class StepDelivery:
     parts_encoded: list
     part_of: dict
     tally: Tally
+    codes: dict
 
     @property
     def extras(self) -> dict:
@@ -241,6 +252,14 @@ class StepDelivery:
     def inbox(self, recipient: int) -> list:
         """Every envelope delivered to ``recipient``, own broadcast included."""
         return self.shared + self.parts[self.part_of[recipient]]
+
+
+def _encode(env: MessageEnvelope, codes: dict) -> bytes:
+    """``env``'s encoding, its payload's code read from the step's table
+    ``codes`` (id of a payload -> (payload, code)) and added when missing."""
+    p = env.payload
+    entry = codes.get(id(p)) or codes.setdefault(id(p), (p, encode_payload(p)))
+    return encode_envelope(env, entry[1])
 
 
 def _restamp(env: MessageEnvelope, step_id: StepId) -> MessageEnvelope:
@@ -288,26 +307,23 @@ class SyncNetwork:
 
     def run_step(self, step_id: StepId, honest_outgoing: dict) -> StepDelivery:
         shared = [honest_outgoing[i] for i in sorted(honest_outgoing)]
-        # Encodings of the honest payloads, keyed by identity: nodes that
-        # computed their message from one shared tally send one payload
-        # object.  Every keyed payload is delivered, so it outlives the step.
-        payloads: dict[int, bytes] = {}
+        # The step's table: id of each payload object -> (payload, its code).
+        # Nodes that computed their message from one tally, or sent equal
+        # ones, send one payload object, which is encoded once.
+        codes: dict[int, tuple] = {}
         shared_encoded = []
         for env in shared:
             if env.step_id != step_id:
                 raise SimulationError("honest envelope from another step")
-            data = payloads.get(id(env.payload))
-            if data is None:
-                data = payloads[id(env.payload)] = encode_payload(env.payload)
-            shared_encoded.append(encode_envelope(env, data))
+            shared_encoded.append(_encode(env, codes))
         for _, star in sorted(self._halted_star.items()):
-            env, encoded = self._replay(star, step_id)
+            env, encoded = self._replay(star, step_id, codes)
             shared.append(env)
             shared_encoded.append(encoded)
 
         m = self.config.m
         check = signature_check(self.registry, self.common, step_id)
-        tally = ingest(shared, m=m, phase=step_id.phase, signature_check=check)
+        tally = ingest(shared, m=m, phase=step_id.phase, signature_check=check, codes=codes)
         view = AdversaryView(step_id, shared, self.honest_ids, sorted(honest_outgoing), tally)
         sends = self.adversary.act(view)
         if not isinstance(sends, dict):  # a list is the same list for every recipient
@@ -324,11 +340,11 @@ class SyncNetwork:
                 part_of[r], finals = by_sent[id(sent)]
                 stars.update(finals)
                 continue
-            out = [self._replay(star, step_id) for star in stars.values()]
+            out = [self._replay(star, step_id, codes) for star in stars.values()]
             for env in _items(sent):
                 _check_sent(env, step_id, self._corrupt)
                 if env.sender not in stars:  # a bound sender says only its replay
-                    out.append((env, encode_envelope(env)))
+                    out.append((env, _encode(env, codes)))
             # An encoding starts with the sender's id in big-endian, so
             # ordering by encoding orders by (sender, encoding).
             out.sort(key=itemgetter(1))
@@ -343,15 +359,17 @@ class SyncNetwork:
             if plain:
                 by_sent[id(sent)] = k, stars
 
-        delivery = StepDelivery(step_id, shared, shared_encoded, parts, list(index), part_of, tally)
+        delivery = StepDelivery(
+            step_id, shared, shared_encoded, parts, list(index), part_of, tally, codes
+        )
         self._hash_step(delivery)
         self.adversary.end_step(view)
         return delivery
 
-    def _replay(self, star: MessageEnvelope, step_id: StepId) -> tuple:
+    def _replay(self, star: MessageEnvelope, step_id: StepId, codes: dict) -> tuple:
         """``star`` restamped for this step, with its encoding."""
         env = _restamp(star, step_id)
-        return env, encode_envelope(env)
+        return env, _encode(env, codes)
 
     def _hash_step(self, delivery: StepDelivery) -> None:
         """Add what every honest recipient received to the step log (format v2).
@@ -388,13 +406,15 @@ class SyncNetwork:
         fresh message counts only with its sender's signature
         (:func:`mbba.signature_check`).  That tally keeps the rules, and each
         non-empty adversary part is admitted by them and added onto it in one
-        :func:`merge_tallies` pass.  ``run_step`` groups recipients by the
-        encodings of their parts and rejects the adversary output on which
-        equal encodings could tally differently, so one tally per part is the
+        :func:`merge_tallies` pass, which reads each payload's code from the
+        step's table.  ``run_step`` groups recipients by the encodings of
+        their parts and rejects the adversary output on which equal
+        encodings could tally differently, so one tally per part is the
         tally of each recipient.
         """
         base = delivery.tally
-        by_part = [merge_tallies(base, part) if part else base for part in delivery.parts]
+        codes = delivery.codes
+        by_part = [merge_tallies(base, part, codes) if part else base for part in delivery.parts]
         return {r: by_part[k] for r, k in delivery.part_of.items()}
 
 

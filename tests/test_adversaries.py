@@ -112,10 +112,10 @@ class TestCrashAfter:
         mine, theirs = {}, {}  # step id -> the crash nodes' tallies / net.tallies
         real_advance, real_tallies = Node.advance, SyncNetwork.tallies
 
-        def advance(node, tally):
+        def advance(node, tally, *args):
             if node.ids[0] in corrupt:
                 mine.setdefault(node.messages[0].step_id, []).append(tally)
-            return real_advance(node, tally)
+            return real_advance(node, tally, *args)
 
         def tallies(net, delivery):
             result = theirs[delivery.step_id] = real_tallies(net, delivery)
@@ -153,10 +153,10 @@ class TestCrashAfter:
         mine = {}  # step id -> the crash nodes' tally
         real_advance = Node.advance
 
-        def advance(node, tally):
+        def advance(node, tally, *args):
             if node.ids[0] in corrupt:
                 mine[node.messages[0].step_id] = tally
-            return real_advance(node, tally)
+            return real_advance(node, tally, *args)
 
         monkeypatch.setattr(Node, "advance", advance)
         coin = StepId(Phase.MBBA, 0, 3)

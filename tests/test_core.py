@@ -6,6 +6,7 @@ import struct
 from decimal import Decimal
 from enum import IntEnum
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given
@@ -740,15 +741,23 @@ def shared_payload_inboxes(draw, m=3, n=8, first_sender=0):
     return draw(st.permutations(envs))
 
 
+def _reference_formed(payload, m, phase):
+    """A tuple of m bits in MBBA, of m values in MGC, checked per component."""
+    if not isinstance(payload, tuple):
+        return False
+    if phase == Phase.MBBA:
+        return _reference_is_bit_vector(payload, m)
+    return _reference_is_value_vector(payload, m)
+
+
 def _reference_recount(envs, m, phase, signature_check):
     """ingest's discarding rules and counts, one envelope at a time."""
     by_sender: dict = {}
     conflict = object()
     for env in envs:
-        if phase == Phase.MBBA:
-            formed = _reference_is_bit_vector(env.payload, m)
-        else:
-            formed = not env.final and _reference_is_value_vector(env.payload, m)
+        formed = _reference_formed(env.payload, m, phase)
+        if phase == Phase.MGC and env.final:
+            formed = False
         if not formed or (signature_check and not env.final and not signature_check(env)):
             continue
         prev = by_sender.get(env.sender)
@@ -790,3 +799,59 @@ def test_shared_payloads_tally_as_a_per_envelope_recount(first, second, phase, c
     _assert_tally_is(base, *_reference_recount(first, m, phase, check), m, phase)
     merged = merge_tallies(base, offered(second))
     _assert_tally_is(merged, *_reference_recount(first + second, m, phase, check), m, phase)
+
+
+class _Pair(NamedTuple):
+    """A tuple subclass: a payload of two components."""
+
+    first: object
+    second: object
+
+
+@st.composite
+def any_payload_inboxes(draw, m=2, n=5, first_sender=0):
+    """An inbox of any payloads, drawn from a small pool of objects: tuples
+    of bools, IntEnum members, floats, ints, bytes, bytes subclasses and
+    BOT, of any length; NamedTuple payloads; and payloads that are not
+    tuples.  Signatures are of any type, envelopes fresh or final."""
+    pool = draw(st.lists(st.one_of(
+        _payloads,
+        st.lists(st.sampled_from([0, 1]), min_size=m, max_size=m).map(tuple),
+        st.lists(values_strategy, min_size=m, max_size=m).map(tuple),
+        st.builds(_Pair, _components, _components),
+        st.builds(_Pair, st.sampled_from([0, 1]), st.sampled_from([0, 1])),
+        st.builds(_Pair, values_strategy, values_strategy),
+        st.sampled_from([None, 1, b"\x01", [0, 1], "01", frozenset({0})]),
+    ), min_size=1, max_size=5))
+    envs = []
+    for sender in range(first_sender, first_sender + n):
+        for _ in range(draw(st.integers(0, 2))):
+            envs.append(MessageEnvelope(
+                sender, SID, draw(st.sampled_from(pool)),
+                signature=draw(st.sampled_from([b"ok", b"bad", None, "ok", 7, 0.5, b""])),
+                final=draw(st.booleans()),
+            ))
+    return envs
+
+
+@given(any_payload_inboxes(), any_payload_inboxes(first_sender=10),
+       st.sampled_from(list(Phase)), st.booleans(), st.sampled_from(["none", "empty", "filled"]))
+def test_admission_by_code_matches_per_component_rule(first, second, phase, checked, table):
+    """ingest and merge_tallies admit by a payload's code, with or without the
+    step's table: the senders and counts of the per-component rule."""
+    m, check = 2, SIG_OK if checked else None
+    codes = None
+    if table != "none":
+        codes = {}
+    if table == "filled":  # as a step fills it before tallying
+        for env in first + second:
+            codes[id(env.payload)] = (env.payload, encode_payload(env.payload))
+    base = ingest(first, m=m, phase=phase, signature_check=check, codes=codes)
+    _assert_tally_is(base, *_reference_recount(first, m, phase, check), m, phase)
+    merged = merge_tallies(base, second, codes)
+    _assert_tally_is(merged, *_reference_recount(first + second, m, phase, check), m, phase)
+    if codes is not None:  # every payload offered is in the table, with its code
+        offered = {id(env.payload): env.payload for env in first + second}
+        assert codes.keys() == offered.keys()
+        assert all(codes[k][0] is p and codes[k][1] == encode_payload(p)
+                   for k, p in offered.items())

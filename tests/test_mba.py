@@ -329,8 +329,8 @@ class TestPerTallyResults:
         held = []  # the tally of each class that filled a component from the coin
         coins = []
 
-        def advance(node, tally):
-            report = real_advance(node, tally)
+        def advance(node, tally, *args):
+            report = real_advance(node, tally, *args)
             if report is not None and Branch.COIN in report:
                 held.append(tally)
             return report

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import build_adversary
-from mbasim import crypto, netsim
+from mbasim import core, crypto, netsim
 from mbasim.adversaries import CrashAfterAdversary, RandomByzantineAdversary
 from mbasim.core import (
     MessageEnvelope,
@@ -21,7 +21,7 @@ from mbasim.core import (
     ingest,
 )
 from mbasim.crypto import signing_message
-from mbasim.mba import run_trial
+from mbasim.mba import Trial, run_trial
 from mbasim.mbba import Branch, signature_check
 from mbasim.netsim import (
     Adversary,
@@ -149,14 +149,15 @@ class TestDelivery:
             honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
 
     @pytest.mark.parametrize(
-        "output",
-        [None, 5, MessageEnvelope(3, SID, (0,)), {0: MessageEnvelope(3, SID, (0,))}, {0: None},
-         {0: 5}],
+        "output, kind",
+        [(None, "NoneType"), (5, "int"), (MessageEnvelope(3, SID, (0,)), "MessageEnvelope"),
+         ({0: MessageEnvelope(3, SID, (0,))}, "MessageEnvelope"), ({0: None}, "NoneType"),
+         ({0: 5}, "int")],
         ids=["none", "int", "bare-envelope", "dict-of-envelope", "dict-of-none", "dict-of-int"],
     )
-    def test_malformed_container_rejected(self, output):
+    def test_malformed_container_rejected(self, output, kind):
         _, net = make_net(adversary=ScriptedAdversary([output]))
-        with pytest.raises(SimulationError):
+        with pytest.raises(SimulationError, match=f"^adversary output of type {kind}$"):
             honest_bits_step(net, {0: [0], 1: [0], 2: [0]})
 
     def test_final_with_unsized_payload_dropped(self):
@@ -582,7 +583,7 @@ class TestSharedTallies:
         # one ingest of the honest part, one merge pass per distinct part
         assert len(calls["ingest"]) == 1
         assert len(calls["merge_tallies"]) == len(distinct)
-        assert all(base is delivery.tally for base, _ in calls["merge_tallies"])
+        assert all(base is delivery.tally for base, *_ in calls["merge_tallies"])
         assert len({id(tally) for tally in tallies.values()}) == len(distinct)
 
 
@@ -630,6 +631,84 @@ class TestEncodeOnce:
             replay = delivery.shared[-1]
             assert (replay.sender, replay.step_id, replay.final) == (0, sid, True)
             assert delivery.shared_encoded[-1] == netsim.encode_envelope(replay)
+
+
+def _delivered_payloads(delivery) -> set:
+    """The ids of the payload objects a step delivered."""
+    envs = delivery.shared + [env for part in delivery.parts for env in part]
+    return {id(env.payload) for env in envs}
+
+
+class TestClassifyOnce:
+    """A step encodes each delivered payload object once, in run_step, and
+    tallying reads every payload's form from that code."""
+
+    @pytest.fixture
+    def encodings(self, monkeypatch):
+        """(payloads run_step encoded, payloads tallying had to encode)."""
+        real = netsim.encode_payload
+        calls = ([], [])
+        monkeypatch.setattr(netsim, "encode_payload", lambda p: calls[0].append(p) or real(p))
+        monkeypatch.setattr(core, "encode_payload", lambda p: calls[1].append(p) or real(p))
+        return calls
+
+    @pytest.mark.parametrize("name, params, n, scenario", [
+        ("split_keeper", (), 7, (4,)),
+        ("random_byzantine", (), 10, (4,)),
+        ("crash_after", (10**6,), 7, (1,)),
+    ])
+    def test_each_delivered_payload_encoded_once(self, name, params, n, scenario, encodings):
+        encoded, missed = encodings
+        for seed in range(3):
+            config = NetworkConfig(n, (n - 1) // 3, 4, seed)
+            inputs = build_inputs("ambiguous", scenario, config, scenario_rng(seed))
+            trial = Trial(config, inputs, build_adversary(name, params))
+            while (delivery := trial.step()) is not None:
+                assert len(encoded) == len(set(map(id, encoded))), (name, seed)
+                assert set(map(id, encoded)) == _delivered_payloads(delivery), (name, seed)
+                # crash_after's nodes tally their own sends apart, in end_step
+                assert name == "crash_after" or not missed, (name, seed)
+                missed.clear()
+                trial.net.tallies(delivery)
+                assert not missed, (name, seed)
+                encoded.clear()
+            assert trial.record().halted
+
+    def test_replayed_payloads_encoded_once(self, encodings):
+        encoded, missed = encodings
+        final = MessageEnvelope(3, SID, (1, 0), final=True)
+        sid2 = StepId(Phase.MBBA, 0, 2)
+        fresh = MessageEnvelope(3, sid2, (0, 0))
+        _, net = make_net(m=2, adversary=ScriptedAdversary([[final], {0: [fresh], 1: [fresh]}]))
+        honest_bits_step(net, {0: [0, 1], 1: [0, 1], 2: [0, 1]})
+        net.register_final(MessageEnvelope(2, SID, (0, 1), final=True))
+        encoded.clear()
+        delivery = honest_bits_step(net, {0: [0, 1], 1: [0, 1]}, sid2)
+        tallies = net.tallies(delivery)
+        # node 2's replay is shared, node 3's replaces its fresh message
+        assert [(e.sender, e.final) for e in delivery.inbox(0)] == [(0, 0), (1, 0), (2, 1), (3, 1)]
+        assert sorted(map(id, encoded)) == sorted(_delivered_payloads(delivery))
+        assert len(encoded) == 4 and not missed
+        assert all(tally.ones == [1, 3] for tally in tallies.values())
+
+    def test_equal_honest_payloads_are_one_object(self):
+        # random_byzantine hands every recipient its own part, so every
+        # honest node steps as its own class; equal payloads are still one
+        # object per step.
+        config = NetworkConfig(10, 3, 16, 1)
+        inputs = build_inputs("ambiguous", (16,), config, scenario_rng(1))
+        trial = Trial(config, inputs, build_adversary("random_byzantine"))
+        merged = 0
+        while (classes := len(trial.active)) and (delivery := trial.step()) is not None:
+            if delivery.step_id.phase != Phase.MBBA:
+                continue
+            fresh = [env.payload for env in delivery.shared if not env.final]
+            assert len(set(map(id, fresh))) == len(set(fresh)), delivery.step_id
+            merged += classes - len(set(fresh))
+            for node in trial.active:  # the classes still split by tally
+                assert len({delivery.part_of[i] for i in node.ids}) == 1
+        assert merged > 0
+        assert trial.record().halted
 
 
 class TestMonitors:
