@@ -217,10 +217,8 @@ def _admit(envelopes, m: int, phase: Phase, signature_check, codes: Optional[dic
     first-seen order.
 
     A payload is well-formed when its code starts with the phase's tag
-    (``V`` in MGC, ``B`` in MBBA) and it has m components.  ``codes`` is the
-    step's table, id of a payload -> (payload, :func:`encode_payload`); a
-    payload missing from it is encoded once and added, and the table holds
-    every payload it keys, so no id is reused while it is a key.
+    (``V`` in MGC, ``B`` in MBBA) and it has m components; the code is read
+    from ``codes``, the step's table (:func:`payload_code`).
     """
     by_sender: dict[int, object] = {}
     codes = {} if codes is None else codes
@@ -228,10 +226,7 @@ def _admit(envelopes, m: int, phase: Phase, signature_check, codes: Optional[dic
     mgc = phase == Phase.MGC
     for env in envelopes:
         payload = env.payload
-        entry = codes.get(id(payload)) or codes.setdefault(
-            id(payload), (payload, encode_payload(payload))
-        )
-        if entry[1][0] != tag or len(payload) != m or (env.final and mgc):
+        if payload_code(payload, codes)[0] != tag or len(payload) != m or (env.final and mgc):
             continue
         if signature_check is not None and not env.final and not signature_check(env):
             continue
@@ -304,7 +299,7 @@ def ingest(
     and :func:`merge_tallies` admits a further sender group by them.
 
     A payload's form is read from its code in ``codes``, the step's table
-    of payload encodings, once per payload object however many envelopes
+    (:func:`payload_code`), once per payload object however many envelopes
     carry it (:func:`_admit`); without a table, each call keeps its own.
     The duplicate, equivocation and signature rules apply per sender.
     ``step_messages`` may be any iterable, a generator included.
@@ -383,8 +378,6 @@ _COMPONENT_KINDS = (
     (str, b"s", lambda v: str.encode(v, "utf-8", "surrogatepass")),
 )
 _OPAQUE = b"?"
-# The V-path code of BOT and of every one-byte value.
-_V_CODES = {BOT: b"\x00", **{bytes([i]): b"\x01\x00\x00\x00\x01" + bytes([i]) for i in range(256)}}
 
 
 def _encode_component(v) -> bytes:
@@ -424,9 +417,20 @@ def encode_payload(payload: tuple) -> bytes:
         return b"B" + bytes(payload)
     if types <= _VALUE_TYPES:
         return b"V" + b"".join(
-            [_V_CODES.get(v) or b"\x01" + _LENGTH.pack(len(v)) + v for v in payload]
+            [b"\x00" if v is BOT else b"\x01" + _LENGTH.pack(len(v)) + v for v in payload]
         )
     return b"T" + _LENGTH.pack(len(payload)) + b"".join(map(_encode_component, payload))
+
+
+def payload_code(payload, codes: dict) -> bytes:
+    """``payload``'s code (:func:`encode_payload`) from ``codes``, a step's
+    table, id of a payload -> (payload, code); a payload missing from it is
+    encoded and added.  The table holds every payload it keys, so no id is
+    reused while it is a key."""
+    entry = codes.get(id(payload))
+    if entry is None:
+        entry = codes[id(payload)] = (payload, encode_payload(payload))
+    return entry[1]
 
 
 def encode_envelope(env: MessageEnvelope, payload_bytes: Optional[bytes] = None) -> bytes:

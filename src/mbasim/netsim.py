@@ -52,9 +52,9 @@ from .core import (
     StepId,
     Tally,
     encode_envelope,
-    encode_payload,
     ingest,
     merge_tallies,
+    payload_code,
     well_formed,
 )
 from .crypto import KeyRegistry, common_string, digest
@@ -229,9 +229,8 @@ class StepDelivery:
     first of them).  ``shared_encoded`` and ``parts_encoded`` carry the
     encodings position for position; they fix the delivery order and feed
     the step-log hash.  ``tally`` is the tally of ``shared``.  ``codes`` is
-    the step's table, id of each payload object -> (payload, its code), which
-    :meth:`SyncNetwork.tallies` admits the parts by; it holds every payload
-    it keys.
+    the step's table of payload codes (:func:`~mbasim.core.payload_code`),
+    which :meth:`SyncNetwork.tallies` admits the parts by.
     """
 
     step_id: StepId
@@ -252,14 +251,6 @@ class StepDelivery:
     def inbox(self, recipient: int) -> list:
         """Every envelope delivered to ``recipient``, own broadcast included."""
         return self.shared + self.parts[self.part_of[recipient]]
-
-
-def _encode(env: MessageEnvelope, codes: dict) -> bytes:
-    """``env``'s encoding, its payload's code read from the step's table
-    ``codes`` (id of a payload -> (payload, code)) and added when missing."""
-    p = env.payload
-    entry = codes.get(id(p)) or codes.setdefault(id(p), (p, encode_payload(p)))
-    return encode_envelope(env, entry[1])
 
 
 def _restamp(env: MessageEnvelope, step_id: StepId) -> MessageEnvelope:
@@ -307,15 +298,15 @@ class SyncNetwork:
 
     def run_step(self, step_id: StepId, honest_outgoing: dict) -> StepDelivery:
         shared = [honest_outgoing[i] for i in sorted(honest_outgoing)]
-        # The step's table: id of each payload object -> (payload, its code).
-        # Nodes that computed their message from one tally, or sent equal
-        # ones, send one payload object, which is encoded once.
-        codes: dict[int, tuple] = {}
+        # The step's table of payload codes (core.payload_code).  Nodes that
+        # computed their message from one tally, or sent equal ones, send one
+        # payload object, which is encoded once.
+        codes: dict = {}
         shared_encoded = []
         for env in shared:
             if env.step_id != step_id:
                 raise SimulationError("honest envelope from another step")
-            shared_encoded.append(_encode(env, codes))
+            shared_encoded.append(encode_envelope(env, payload_code(env.payload, codes)))
         for _, star in sorted(self._halted_star.items()):
             env, encoded = self._replay(star, step_id, codes)
             shared.append(env)
@@ -344,7 +335,7 @@ class SyncNetwork:
             for env in _items(sent):
                 _check_sent(env, step_id, self._corrupt)
                 if env.sender not in stars:  # a bound sender says only its replay
-                    out.append((env, _encode(env, codes)))
+                    out.append((env, encode_envelope(env, payload_code(env.payload, codes))))
             # An encoding starts with the sender's id in big-endian, so
             # ordering by encoding orders by (sender, encoding).
             out.sort(key=itemgetter(1))
@@ -369,7 +360,7 @@ class SyncNetwork:
     def _replay(self, star: MessageEnvelope, step_id: StepId, codes: dict) -> tuple:
         """``star`` restamped for this step, with its encoding."""
         env = _restamp(star, step_id)
-        return env, _encode(env, codes)
+        return env, encode_envelope(env, payload_code(env.payload, codes))
 
     def _hash_step(self, delivery: StepDelivery) -> None:
         """Add what every honest recipient received to the step log (format v2).

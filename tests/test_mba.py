@@ -6,7 +6,7 @@ import pytest
 
 from conftest import build_adversary, finalizations, run_mgc_phase
 from test_negative_controls import out_of_model
-from mbasim import mbba, netsim
+from mbasim import core, mbba, netsim
 from mbasim.core import BOT, GradedPair, Phase, encode_envelope, ingest
 from mbasim.crypto import KeyRegistry, common_string
 from mbasim.mba import ITERATION_CAP, Node, Trial, grades_to_bits, resolve_output, run_trial
@@ -311,9 +311,9 @@ class TestPerTallyResults:
         config = NetworkConfig(7, 2, 4, 3)
         inputs = build_inputs(*scenario, config, scenario_rng(3))
         steps = self.spy_steps(monkeypatch)
-        real = netsim.encode_payload
+        real = core.encode_payload
         calls = []
-        monkeypatch.setattr(netsim, "encode_payload", lambda p: calls.append(p) or real(p))
+        monkeypatch.setattr(core, "encode_payload", lambda p: calls.append(p) or real(p))
         run_mgc_phase(config, inputs)
         encoded = 0
         for delivery, _ in steps:
@@ -321,8 +321,9 @@ class TestPerTallyResults:
             step_calls = calls[encoded : encoded + len(payloads)]
             assert sorted(map(id, step_calls)) == sorted(payloads)
             encoded += len(payloads)
-            assert delivery.shared_encoded == [encode_envelope(e) for e in delivery.shared]
         assert encoded == len(calls)
+        for delivery, _ in steps:
+            assert delivery.shared_encoded == [encode_envelope(e) for e in delivery.shared]
 
     def test_coin_derived_once_per_tally(self, monkeypatch):
         real_advance, real_coin = Node.advance, mbba.derive_coin

@@ -645,12 +645,13 @@ class TestClassifyOnce:
 
     @pytest.fixture
     def encodings(self, monkeypatch):
-        """(payloads run_step encoded, payloads tallying had to encode)."""
-        real = netsim.encode_payload
+        """(payloads encoded, payloads an adversary's ``end_step`` encoded),
+        counted at the one site that encodes a payload for a step's table."""
+        real = core.encode_payload
         calls = ([], [])
-        monkeypatch.setattr(netsim, "encode_payload", lambda p: calls[0].append(p) or real(p))
-        monkeypatch.setattr(core, "encode_payload", lambda p: calls[1].append(p) or real(p))
-        return calls
+        where = [0]
+        monkeypatch.setattr(core, "encode_payload", lambda p: calls[where[0]].append(p) or real(p))
+        return calls, where
 
     @pytest.mark.parametrize("name, params, n, scenario", [
         ("split_keeper", (), 7, (4,)),
@@ -658,24 +659,34 @@ class TestClassifyOnce:
         ("crash_after", (10**6,), 7, (1,)),
     ])
     def test_each_delivered_payload_encoded_once(self, name, params, n, scenario, encodings):
-        encoded, missed = encodings
+        (encoded, in_end_step), where = encodings
         for seed in range(3):
             config = NetworkConfig(n, (n - 1) // 3, 4, seed)
             inputs = build_inputs("ambiguous", scenario, config, scenario_rng(seed))
-            trial = Trial(config, inputs, build_adversary(name, params))
+            adversary = build_adversary(name, params)
+            real_end_step = adversary.end_step
+
+            def end_step(view):
+                where[0] = 1
+                real_end_step(view)
+                where[0] = 0
+
+            adversary.end_step = end_step
+            trial = Trial(config, inputs, adversary)
+            # a step runs and is tallied; both encode each payload once
             while (delivery := trial.step()) is not None:
                 assert len(encoded) == len(set(map(id, encoded))), (name, seed)
                 assert set(map(id, encoded)) == _delivered_payloads(delivery), (name, seed)
                 # crash_after's nodes tally their own sends apart, in end_step
-                assert name == "crash_after" or not missed, (name, seed)
-                missed.clear()
-                trial.net.tallies(delivery)
-                assert not missed, (name, seed)
+                assert name == "crash_after" or not in_end_step, (name, seed)
+                in_end_step.clear()
                 encoded.clear()
+                trial.net.tallies(delivery)
+                assert not encoded, (name, seed)
             assert trial.record().halted
 
     def test_replayed_payloads_encoded_once(self, encodings):
-        encoded, missed = encodings
+        (encoded, _), _ = encodings
         final = MessageEnvelope(3, SID, (1, 0), final=True)
         sid2 = StepId(Phase.MBBA, 0, 2)
         fresh = MessageEnvelope(3, sid2, (0, 0))
@@ -688,7 +699,7 @@ class TestClassifyOnce:
         # node 2's replay is shared, node 3's replaces its fresh message
         assert [(e.sender, e.final) for e in delivery.inbox(0)] == [(0, 0), (1, 0), (2, 1), (3, 1)]
         assert sorted(map(id, encoded)) == sorted(_delivered_payloads(delivery))
-        assert len(encoded) == 4 and not missed
+        assert len(encoded) == 4
         assert all(tally.ones == [1, 3] for tally in tallies.values())
 
     def test_equal_honest_payloads_are_one_object(self):
