@@ -91,10 +91,10 @@ class CrashAfterAdversary(Adversary):
     def end_step(self, view: AdversaryView) -> None:
         """Step the running nodes on their inbox: this adversary's own sends
         merged onto the engine's tally of the honest envelopes, by the rules
-        that tally keeps."""
+        that tally keeps and with the codes of the step's table."""
         if self.steps_sent >= self.crash_step or all(n.messages is None for n in self.nodes):
             return
-        tally = merge_tallies(view.tally, self.last_sent)
+        tally = merge_tallies(view.tally, self.last_sent, view.codes)
         tallies = dict.fromkeys(self.corrupt_ids, tally)
         self.nodes = [node for node, _ in step_classes(self.nodes, tallies)]
 

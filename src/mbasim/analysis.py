@@ -163,7 +163,13 @@ def bound_check(hist: EmpiricalHistogram, ambiguous: int, honest_ratio: float) -
     The iteration bound shifts by one: P(iterations > w) is compared against
     the game's P(steps > w-1) at heads probability honest_ratio/2, plus a
     3-sigma binomial margin.  Communication steps are checked per observed
-    iteration count.
+    iteration count, against an allowance of 5 + 3(k - 1) + 3 = 3k + 5 at k
+    iterations.  On a histogram built from trial records those rows cannot
+    fail: ``Trial.record`` counts 3 + the MBBA steps run, and a record of k
+    iterations ran at most 3k of them, so it counts at most 3k + 3, and
+    3k + 1 or 3k + 2 when the trial halted, since MBBA halts only in step 1
+    or 2 of an iteration (the coin step fixes no bit).  The rows restate how
+    the record derives the count.
     """
     if hist.total == 0:
         raise ValueError("empty histogram")

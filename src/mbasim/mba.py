@@ -7,6 +7,9 @@ components deserve a real value, then output determination.  A
 :class:`Trial` is one full seeded execution of the honest nodes, run one
 synchronous step at a time (``Trial.step``), with the runtime monitors
 checked after each MBBA step; ``Trial.record`` is its transcript record.
+On a settled step (:func:`settled`), where no t corrupt votes can move the
+transition, every class steps on the honest part's tally, so classes in
+equal states join and step once.
 ``run_trial`` steps a trial to its end and returns that record.
 """
 
@@ -15,9 +18,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Callable, Optional
 
-from .core import BOT, MessageEnvelope, Phase, ambiguous_components, encode_payload, is_value_vector
+from .core import (
+    BOT,
+    MessageEnvelope,
+    Phase,
+    StepId,
+    ambiguous_components,
+    encode_payload,
+    is_value_vector,
+    one_third_majority,
+    two_thirds_majority,
+)
 from .mbba import MbbaState, grades_to_bits, signatures
-from .mgc import STEP1_ID, STEP2_ID, MgcState
+from .mgc import STEP1_ID, STEP2_ID, MgcState, best_value
 from .netsim import (
     Adversary,
     NetworkConfig,
@@ -146,6 +159,40 @@ class Node:
         return branches
 
 
+def settled(tally, step_id: StepId, n: int, t: int) -> bool:
+    """Whether no t further votes can change what the step's transition
+    reads from ``tally``, the honest part's tally, at any component.  A
+    recipient's tally is ``tally`` plus its adversary part, at most one vote
+    per corrupt sender, so on a settled step every recipient's tally steps
+    every class as ``tally`` does.  With thr = floor(2n/3) + 1, and at most
+    n senders in a tally, so that two counts cannot both reach thr:
+
+    - MGC step 2 grades by the best non-BOT count b.  A b of thr or more
+      keeps that value at grade 2, since no other value can reach n - b < b;
+      b + t below floor(n/3) + 1 keeps the component at grade 0.
+    - MBBA: a bit counted thr or more times keeps its threshold branch,
+      since the other bit has at most n - thr < thr; both counts below
+      thr - t keep the step's fixed bit.  A coin component reads the parts'
+      signatures, so the coin step is settled only when every component has
+      a supermajority.
+    - MGC step 1 is never settled here: its exact per-part tallies keep
+      :meth:`~mbasim.netsim.SyncNetwork.tallies` and ``merge_tallies`` in
+      every trial, where the benchmark's traced runs expect calls.
+    """
+    thr = two_thirds_majority(n)
+    if step_id.phase == Phase.MGC:
+        if step_id.step == 1:
+            return False
+        low = one_third_majority(n) - t
+        return all(not low <= best_value(tally, c)[1] < thr for c in range(tally.m))
+    # In the coin step (3) no count is below 0, so a coin component never settles.
+    low = 0 if step_id.step == 3 else thr - t
+    for z, o in zip(tally.zeros, tally.ones):
+        if z < thr and o < thr and (z >= low or o >= low):
+            return False
+    return True
+
+
 def step_classes(classes: list, tallies: dict) -> list:
     """Step each class once on its members' tally (``tallies`` maps every
     member to its tally); returns (class, report) pairs in order of first
@@ -190,11 +237,15 @@ class Trial:
     """One full seeded execution, stepped: MGC, MBBA to halting, output
     determination.
 
-    The honest nodes step as classes (:func:`step_classes`): ``active``
-    holds the classes still running, ``halted`` the halted ones, each in
-    the order it halted.  The monitors read one row per class, keyed by its
-    first member, and name every member only in a violation.  ``step``
-    runs one synchronous step; ``record`` builds the transcript record.
+    The honest nodes step as classes (:func:`step_classes`), each member on
+    its recipient's exact tally (:meth:`SyncNetwork.tallies`), so a class
+    splits where its members' parts differ; on a settled step
+    (:func:`settled`) every member holds the honest part's tally, which
+    gives each class the same result.  ``active`` holds the classes still
+    running, ``halted`` the halted ones, each in the order it halted.  The
+    monitors read one row per class, keyed by its first member, and name
+    every member only in a violation.  ``step`` runs one synchronous step;
+    ``record`` builds the transcript record.
     """
 
     def __init__(self, config, initial_vectors, adversary=None, *, iteration_cap=ITERATION_CAP):
@@ -241,7 +292,12 @@ class Trial:
             return None
         outgoing = {env.sender: env for node in active for env in node.messages}
         delivery = net.run_step(sid, outgoing)
-        stepped = step_classes(active, net.tallies(delivery))
+        config = self.config
+        if settled(delivery.tally, sid, config.n, config.t):  # no part can change a result
+            tallies = dict.fromkeys(delivery.part_of, delivery.tally)
+        else:
+            tallies = net.tallies(delivery)
+        stepped = step_classes(active, tallies)
         self.active = active = [node for node, _ in stepped]
         if not in_mbba:
             return delivery
@@ -267,7 +323,7 @@ class Trial:
             fixation = fixation_violations(sid, finalized, honest_bits)
         violations.extend(
             fixation
-            + never_both_violations(sid, reports, self.config.m)
+            + never_both_violations(sid, reports, config.m)
             + self.persistence.update(sid, honest_bits)
         )
         return delivery

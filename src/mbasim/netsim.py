@@ -16,9 +16,13 @@ signature, so they never enter a coin step's signature set.
 A delivery is the honest part, which every honest recipient receives and
 which is tallied once before the adversary acts, plus the distinct adversary
 parts.  That tally fixes the step's rules (its phase and, in the coin step,
-its signature check); each distinct part costs one merge pass, which admits
-its envelopes by those rules and adds them onto it
-(:meth:`SyncNetwork.tallies`).
+its signature check); :meth:`SyncNetwork.tallies` gives each distinct part
+one merge pass, which admits its envelopes by those rules and adds them onto
+it.  A trial asks for those tallies only on a step that the honest tally
+does not settle (:func:`mbasim.mba.settled`).  A part adds at most one vote
+per corrupt sender, so at most t at a component; where no t votes can move
+the step's transition at any component, every recipient's tally gives every
+class the result of the honest tally, so the classes step once on that tally.
 An adversary's list output is that list for every recipient.  Each list is
 checked and encoded where its part is built; recipients without replays
 that share a list or tuple share its part.  ``run_step`` encodes every
@@ -41,7 +45,7 @@ from __future__ import annotations
 import hashlib
 import random
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Optional
@@ -111,6 +115,10 @@ class AdversaryView:
     fresh messages of active honest nodes plus replays of halted ones.
     ``tally`` is the engine's tally of them by the step's rules, which it
     keeps: :func:`merge_tallies` admits a part onto it by the same rules.
+    ``codes`` is the step's table of payload codes
+    (:func:`~mbasim.core.payload_code`); by ``end_step`` it holds the code
+    of every payload delivered, so a strategy that tallies its own sends
+    passes it to :func:`merge_tallies` and encodes nothing again.
     ``step_id.phase`` says whether the step carries values or bits.
     """
 
@@ -119,6 +127,7 @@ class AdversaryView:
     honest_ids: list
     active_honest: list
     tally: Tally
+    codes: dict = field(default_factory=dict)
 
 
 class Adversary:
@@ -315,7 +324,9 @@ class SyncNetwork:
         m = self.config.m
         check = signature_check(self.registry, self.common, step_id)
         tally = ingest(shared, m=m, phase=step_id.phase, signature_check=check, codes=codes)
-        view = AdversaryView(step_id, shared, self.honest_ids, sorted(honest_outgoing), tally)
+        view = AdversaryView(
+            step_id, shared, self.honest_ids, sorted(honest_outgoing), tally, codes
+        )
         sends = self.adversary.act(view)
         if not isinstance(sends, dict):  # a list is the same list for every recipient
             sends = dict.fromkeys(self.honest_ids, _items(sends))
@@ -401,7 +412,8 @@ class SyncNetwork:
         step's table.  ``run_step`` groups recipients by the encodings of
         their parts and rejects the adversary output on which equal
         encodings could tally differently, so one tally per part is the
-        tally of each recipient.
+        tally of each recipient.  :meth:`mbasim.mba.Trial.step` calls this
+        only on steps that are not settled (:func:`mbasim.mba.settled`).
         """
         base = delivery.tally
         codes = delivery.codes

@@ -18,7 +18,7 @@ from mbasim.adversaries import (
 from mbasim import mbba
 from mbasim.core import BOT, BitTally, MessageEnvelope, Phase, StepId, ingest, is_bit_vector
 from mbasim.crypto import KeyPair, signing_message
-from mbasim.mba import Node, run_trial
+from mbasim.mba import Node, Trial, run_trial
 from mbasim.mbba import MbbaState, signature_check, signatures
 from mbasim.mgc import STEP1_ID, STEP2_ID
 from mbasim.netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
@@ -108,29 +108,32 @@ class TestCrashAfter:
         if not s[1] or s[1][0] <= m
     ])
     def test_nodes_tally_what_honest_recipients_tally(self, n, m, scenario, monkeypatch):
-        corrupt = set(NetworkConfig(n, (n - 1) // 3, m, 0).corrupt_ids)
-        mine, theirs = {}, {}  # step id -> the crash nodes' tallies / net.tallies
-        real_advance, real_tallies = Node.advance, SyncNetwork.tallies
+        t = (n - 1) // 3
+        corrupt = set(NetworkConfig(n, t, m, 0).corrupt_ids)
+        # step id -> the crash nodes' tallies / every honest recipient's
+        # exact tally, from net.tallies on the step's delivery
+        mine, theirs = {}, {}
+        real_advance = Node.advance
 
         def advance(node, tally, *args):
             if node.ids[0] in corrupt:
                 mine.setdefault(node.messages[0].step_id, []).append(tally)
             return real_advance(node, tally, *args)
 
-        def tallies(net, delivery):
-            result = theirs[delivery.step_id] = real_tallies(net, delivery)
-            return result
-
         def votes(tally):
             counts = (tally.zeros, tally.ones) if isinstance(tally, BitTally) else tally.counts
             return tally.admitted, counts
 
         monkeypatch.setattr(Node, "advance", advance)
-        monkeypatch.setattr(SyncNetwork, "tallies", tallies)
         for seed in range(4):
             mine.clear()
             theirs.clear()
-            rec = run_with("crash_after", (10**6,), scenario, seed, n, (n - 1) // 3, m)
+            config = NetworkConfig(n, t, m, seed, adversary="crash_after")
+            inputs = build_inputs(scenario[0], scenario[1], config, scenario_rng(seed))
+            trial = Trial(config, inputs, build_adversary("crash_after", (10**6,)))
+            while (delivery := trial.step()) is not None:
+                theirs[delivery.step_id] = trial.net.tallies(delivery)
+            rec = trial.record()
             assert rec.halted and rec.agreement
             # the crash nodes step on every step of the trial, as one class
             # on one tally

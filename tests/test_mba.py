@@ -4,13 +4,22 @@ from dataclasses import FrozenInstanceError
 
 import pytest
 
-from conftest import build_adversary, finalizations, run_mgc_phase
+from conftest import build_adversary, finalizations
 from test_negative_controls import out_of_model
 from mbasim import core, mbba, netsim
 from mbasim.core import BOT, GradedPair, Phase, encode_envelope, ingest
 from mbasim.crypto import KeyRegistry, common_string
-from mbasim.mba import ITERATION_CAP, Node, Trial, grades_to_bits, resolve_output, run_trial
+from mbasim.mba import (
+    ITERATION_CAP,
+    Node,
+    Trial,
+    grades_to_bits,
+    resolve_output,
+    run_trial,
+    settled,
+)
 from mbasim.mbba import Branch
+from mbasim.mgc import STEP1_ID, STEP2_ID
 from mbasim.netsim import NetworkConfig, SyncNetwork
 from mbasim.scenarios import (
     FOUR_NODE_EXAMPLE,
@@ -268,18 +277,18 @@ class TestPerTallyResults:
     node that holds one tally object."""
 
     @staticmethod
-    def spy_steps(monkeypatch):
-        """Record each step's (delivery, tallies), in order."""
-        steps = []
-        real_tallies = SyncNetwork.tallies
+    def held_tallies(monkeypatch):
+        """Record, per step id, the tally each class stepped on, for each of
+        its members."""
+        held = {}
+        real_advance = Node.advance
 
-        def tallies(net, delivery):
-            result = real_tallies(net, delivery)
-            steps.append((delivery, result))
-            return result
+        def advance(node, tally, *args):
+            held.setdefault(node.messages[0].step_id, {}).update(dict.fromkeys(node.ids, tally))
+            return real_advance(node, tally, *args)
 
-        monkeypatch.setattr(SyncNetwork, "tallies", tallies)
-        return steps
+        monkeypatch.setattr(Node, "advance", advance)
+        return held
 
     @pytest.mark.parametrize("name, params", [
         ("silent", ()), ("crash_after", (10**6,)), ("split_keeper", ()), ("equivocator", ()),
@@ -288,15 +297,25 @@ class TestPerTallyResults:
         config = NetworkConfig(7, 2, 4, 3)
         inputs = build_inputs("ambiguous", (2,), config, scenario_rng(3))
         adv = build_adversary(name, params)
-        steps = self.spy_steps(monkeypatch)
-        graded = run_mgc_phase(config, inputs, adv)
-        (_, t1), (d2, t2) = steps
+        held = self.held_tallies(monkeypatch)
+        trial = Trial(config, inputs, adv)
+        trial.step()
+        d2 = trial.step()
+        graded = {i: node.graded for node in trial.active for i in node.ids}
+        t1, t2 = ({i: held[sid][i] for i in config.honest_ids} for sid in (STEP1_ID, STEP2_ID))
         relays = {e.sender: e.payload for e in d2.shared if e.sender in t1}
         for r in t1:
             for s in t1:
                 assert (relays[r] is relays[s]) == (t1[r] is t1[s]), (r, s)
                 assert (graded[r] is graded[s]) == (t2[r] is t2[s]), (r, s)
         assert len({id(p) for p in relays.values()}) == len({id(x) for x in t1.values()})
+        # a settled step hands every class the honest part's tally; each
+        # recipient's exact tally grades as the tally its class held
+        if settled(d2.tally, STEP2_ID, config.n, config.t):
+            assert all(tally is d2.tally for tally in t2.values())
+        exact = trial.net.tallies(d2)
+        for r in config.honest_ids:
+            assert trial.active[0].mgc.output_determination(exact[r]) == graded[r], r
         if name == "crash_after":
             # the adversary's nodes share their own tally, so they step as
             # one class: one relay payload (its step-2 messages) and grades
@@ -310,19 +329,19 @@ class TestPerTallyResults:
     def test_mgc_step_encodes_each_honest_payload_once(self, scenario, monkeypatch):
         config = NetworkConfig(7, 2, 4, 3)
         inputs = build_inputs(*scenario, config, scenario_rng(3))
-        steps = self.spy_steps(monkeypatch)
         real = core.encode_payload
         calls = []
         monkeypatch.setattr(core, "encode_payload", lambda p: calls.append(p) or real(p))
-        run_mgc_phase(config, inputs)
+        trial = Trial(config, inputs)
+        steps = [trial.step(), trial.step()]  # MGC's two steps
         encoded = 0
-        for delivery, _ in steps:
+        for delivery in steps:
             payloads = {id(e.payload): e.payload for e in delivery.shared}
             step_calls = calls[encoded : encoded + len(payloads)]
             assert sorted(map(id, step_calls)) == sorted(payloads)
             encoded += len(payloads)
         assert encoded == len(calls)
-        for delivery, _ in steps:
+        for delivery in steps:
             assert delivery.shared_encoded == [encode_envelope(e) for e in delivery.shared]
 
     def test_coin_derived_once_per_tally(self, monkeypatch):
