@@ -16,7 +16,6 @@ from .core import (
     Phase,
     StepId,
     Tally,
-    c_agreement,
     ingest,
 )
 from .crypto import KeyPair, KeyRegistry, common_string, derive_coin, digest
@@ -29,7 +28,6 @@ from .analysis import (
     EmpiricalHistogram,
     bound_check,
     coin_game_ccdf,
-    coin_game_oracle,
     coin_game_pmf,
 )
 
@@ -55,9 +53,7 @@ __all__ = [
     "Tally",
     "TrialRecord",
     "bound_check",
-    "c_agreement",
     "coin_game_ccdf",
-    "coin_game_oracle",
     "coin_game_pmf",
     "common_string",
     "derive_coin",

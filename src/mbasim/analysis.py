@@ -14,9 +14,8 @@ bounds with a 3-sigma binomial margin per point.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import asdict, dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 
 def _finished_mass_m1(num_coins: int, q: float) -> float:
@@ -55,22 +54,6 @@ def coin_game_pmf(num_coins: int, heads_prob: float, w: int) -> float:
     return coin_game_ccdf(num_coins, heads_prob, w - 1) - coin_game_ccdf(num_coins, heads_prob, w)
 
 
-def coin_game_oracle(num_coins: int, heads_prob: float, seed) -> int:
-    """Plays the literal game; the brute-force oracle for the closed forms.
-
-    Flips every remaining coin each step and discards the heads, counting
-    steps until none remain.  Deliberately ignorant of the closed form.
-    """
-    _validate(num_coins, heads_prob)
-    rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    remaining = num_coins
-    steps = 0
-    while remaining > 0:
-        steps += 1
-        remaining = sum(rng.random() >= heads_prob for _ in range(remaining))
-    return steps
-
-
 @dataclass
 class EmpiricalHistogram:
     """Iteration-count histogram over a batch of runs."""
@@ -84,13 +67,6 @@ class EmpiricalHistogram:
         hist = cls()
         for rec in records:
             hist.add(rec.mbba_iterations, rec.comm_steps_with_barrier)
-        return hist
-
-    @classmethod
-    def from_samples(cls, samples: Iterable[int]) -> "EmpiricalHistogram":
-        hist = cls()
-        for s in samples:
-            hist.add(s, None)
         return hist
 
     def add(self, iterations: int, comm_steps: Optional[int]) -> None:

@@ -15,9 +15,11 @@ signature check, so every part merged onto it is admitted by the same rules.
 
 Admission reads a payload's form from its code, its canonical encoding
 (:func:`encode_payload`): a payload of m components is a value vector when
-its code starts with ``V`` and a bit vector when it starts with ``B``.  The
-step's table keeps each payload object's code, so a payload is encoded once
-per step and envelopes that encode alike are admitted alike.
+its code starts with ``V`` and a bit vector when it starts with ``B``.
+:func:`admit` is the one place that states this rule; the tallies admit by
+it, and the network binds a final's sender by it.  The step's table keeps
+each payload object's code, so a payload is encoded once per step and
+envelopes that encode alike are admitted alike.
 
 The records that cross the wire, :class:`StepId` and :class:`MessageEnvelope`,
 are NamedTuples: immutable, equal to the plain tuple of their fields, and
@@ -108,38 +110,14 @@ def one_third_majority(n: int) -> int:
 
 _INT_ONLY = frozenset({int})
 _BIT_VALUES = frozenset({0, 1})
-
-
-def is_bit_vector(payload: tuple, m: int) -> bool:
-    """m components, each an exact int 0 or 1: the payloads
-    :func:`encode_payload` writes as ``B``.  Bools, enum members, floats and
-    other numbers equal to 0 or 1 are not bits."""
-    return (
-        len(payload) == m and set(map(type, payload)) <= _INT_ONLY and set(payload) <= _BIT_VALUES
-    )
-
-
 _VALUE_TYPES = frozenset({bytes, type(BOT)})
 
 
 def is_value_vector(payload: tuple, m: int) -> bool:
-    """m components, each BOT or exactly ``bytes`` (no subclasses)."""
+    """m components, each BOT or exactly ``bytes`` (no subclasses).
+    ``mba.Trial`` checks the honest inputs by this type rule, which encodes
+    nothing; messages are admitted by their code (:func:`admit`)."""
     return len(payload) == m and set(map(type, payload)) <= _VALUE_TYPES
-
-
-def well_formed(env: MessageEnvelope, m: int, phase: Phase) -> bool:
-    """Formatting check for one envelope of a ``phase`` step: a tuple of m
-    values in MGC, of m bits in MBBA, checked by component types, the rule
-    that :func:`ingest` reads from the payload's code.
-
-    A final envelope must carry a bit vector; in particular it can never be
-    well-formed during an MGC step.
-    """
-    if not isinstance(env.payload, tuple) or (env.final and phase == Phase.MGC):
-        return False
-    if phase == Phase.MBBA:
-        return is_bit_vector(env.payload, m)
-    return is_value_vector(env.payload, m)
 
 
 class Tally:
@@ -167,18 +145,6 @@ class Tally:
         self.counts = counts
         self.signature_check = signature_check
 
-    def count(self, value, c: int) -> int:
-        """Number of distinct admissible senders whose component c equals value."""
-        if not 0 <= c < self.m:
-            raise IndexError(f"component {c} out of range for m={self.m}")
-        return self.counts[c].get(value, 0)
-
-    def total(self, c: int) -> int:
-        return sum(self.counts[c].values())
-
-    def senders(self) -> set[int]:
-        return set(self.admitted)
-
 
 class BitTally(Tally):
     """An MBBA tally: ``zeros[c]`` and ``ones[c]`` count the votes for 0 and
@@ -196,29 +162,20 @@ class BitTally(Tally):
         self.signature_check = signature_check
         self.coin = None
 
-    def count(self, value, c: int) -> int:
-        if not 0 <= c < self.m:
-            raise IndexError(f"component {c} out of range for m={self.m}")
-        if value == 0:
-            return self.zeros[c]
-        if value == 1:
-            return self.ones[c]
-        return 0
-
-    def total(self, c: int) -> int:
-        return self.zeros[c] + self.ones[c]
-
 
 _CONFLICT = object()
 
 
-def _admit(envelopes, m: int, phase: Phase, signature_check, codes: Optional[dict]) -> dict:
+def admit(envelopes, m: int, phase: Phase, signature_check, codes: Optional[dict]) -> dict:
     """The discarding rules: sender -> its one admissible envelope, in
     first-seen order.
 
-    A payload is well-formed when its code starts with the phase's tag
-    (``V`` in MGC, ``B`` in MBBA) and it has m components; the code is read
-    from ``codes``, the step's table (:func:`payload_code`).
+    This is the one statement of a message's form.  A payload is
+    well-formed when its code starts with the phase's tag (``V`` in MGC,
+    ``B`` in MBBA) and it has m components, and a final message is never
+    well-formed in MGC; the code is read from ``codes``, the step's table
+    (:func:`payload_code`).  ``SyncNetwork.run_step`` binds a final's sender
+    only when this admits the final in an MBBA step.
     """
     by_sender: dict[int, object] = {}
     codes = {} if codes is None else codes
@@ -300,11 +257,11 @@ def ingest(
 
     A payload's form is read from its code in ``codes``, the step's table
     (:func:`payload_code`), once per payload object however many envelopes
-    carry it (:func:`_admit`); without a table, each call keeps its own.
+    carry it (:func:`admit`); without a table, each call keeps its own.
     The duplicate, equivocation and signature rules apply per sender.
     ``step_messages`` may be any iterable, a generator included.
     """
-    admitted = _admit(step_messages, m, phase, signature_check, codes)
+    admitted = admit(step_messages, m, phase, signature_check, codes)
     if phase == Phase.MBBA:
         return _bit_tally(m, admitted, _add_bits([0] * m, admitted), signature_check)
     return Tally(m, admitted, _add_values([{} for _ in range(m)], admitted), signature_check)
@@ -325,7 +282,7 @@ def merge_tallies(
     duplicate and equivocation detection cannot see across the groups.
     """
     m, phase, check = base.m, base.phase, base.signature_check
-    added = _admit(envelopes, m, phase, check, codes)
+    added = admit(envelopes, m, phase, check, codes)
     if not base.admitted.keys().isdisjoint(added):
         overlap = sorted(base.admitted.keys() & added.keys())
         raise ValueError(f"tally sender groups overlap: {overlap}")
@@ -335,29 +292,9 @@ def merge_tallies(
     return Tally(m, admitted, _add_values(list(map(dict, base.counts)), added), check)
 
 
-def c_agreement(honest_vectors: list, c: int) -> bool:
-    """True iff all given vectors agree at component c.
-
-    Test/monitor oracle only; protocol logic never consults it.
-    """
-    if not honest_vectors:
-        raise ValueError("need at least one vector")
-    return agreed_value(honest_vectors, c)[0]
-
-
-def agreed_value(honest_vectors: list, c: int):
-    """(True, v) when all vectors agree on v at component c, else (False, None)."""
-    first = honest_vectors[0][c]
-    if any(vec[c] != first for vec in honest_vectors):
-        return False, None
-    return True, first
-
-
 def ambiguous_components(honest_vectors: list) -> int:
     """Number of components where at least two of the vectors differ."""
-    if len(honest_vectors) < 2:
-        return 0
-    return sum(not c_agreement(honest_vectors, c) for c in range(len(honest_vectors[0])))
+    return sum(column.count(column[0]) != len(column) for column in zip(*honest_vectors))
 
 
 # --- canonical byte encodings (step logs, record hashes, hex dumps) ---

@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
 
-DIGEST_SIZE = 32
-
 
 def digest(data: bytes) -> bytes:
     """32-byte SHA-256 digest; the build's single random-oracle stand-in."""

@@ -252,17 +252,8 @@ class Trial:
         n, m = config.n, config.m
         if len(initial_vectors) != n:
             raise ValueError(f"need {n} initial vectors, got {len(initial_vectors)}")
-        # Each input object is checked once, keyed by identity; ``held`` keeps
-        # every keyed object alive, so no id is reused while it is a key.
-        formed: dict[int, bool] = {}
-        held = []
         for i in config.honest_ids:
-            vector = initial_vectors[i]
-            ok = formed.get(id(vector))
-            if ok is None:
-                ok = formed[id(vector)] = is_value_vector(tuple(vector), m)
-                held.append(vector)
-            if not ok:
+            if not is_value_vector(tuple(initial_vectors[i]), m):
                 raise ValueError(f"honest initial vector {i} is not an m={m} value vector")
 
         self.config, self.adversary, self.iteration_cap = config, adversary, iteration_cap

@@ -8,10 +8,11 @@ advances the clock.  Delivery is instantaneous and nothing crosses a step
 boundary.
 
 The finality marker is honored centrally: once a recipient has been handed a
-final message from some sender, the engine replays that message as the
-sender's message in every subsequent step and suppresses anything fresh the
-sender tries to say to that recipient.  Replayed messages carry no
-signature, so they never enter a coin step's signature set.
+final message from some sender that an MBBA step admits
+(:func:`mbasim.core.admit`, the one form rule), the engine replays that
+message as the sender's message in every subsequent step and suppresses
+anything fresh the sender tries to say to that recipient.  Replayed messages
+carry no signature, so they never enter a coin step's signature set.
 
 A delivery is the honest part, which every honest recipient receives and
 which is tallied once before the adversary acts, plus the distinct adversary
@@ -28,7 +29,7 @@ checked and encoded where its part is built; recipients without replays
 that share a list or tuple share its part.  ``run_step`` encodes every
 payload object of the step once, honest, replayed or adversarial, into the
 step's table (``StepDelivery.codes``), and the tallies admit each payload
-by that code (:func:`mbasim.core.ingest`).  So checked envelopes that
+by that code (:func:`mbasim.core.admit`).  So checked envelopes that
 encode alike tally alike, and recipients whose parts encode alike share one
 part, one step-log entry and one tally, whatever the output shape.  Honest
 nodes with one state and one tally step as one class
@@ -55,11 +56,11 @@ from .core import (
     Phase,
     StepId,
     Tally,
+    admit,
     encode_envelope,
     ingest,
     merge_tallies,
     payload_code,
-    well_formed,
 )
 from .crypto import KeyRegistry, common_string, digest
 from .mbba import Branch, signature_check, signatures
@@ -354,10 +355,11 @@ class SyncNetwork:
             k = part_of[r] = index.setdefault(key, len(parts))
             if k == len(parts):
                 parts.append([env for env, _ in out])
-            # A final delivered now is replayed from the next step on.
+            # A final delivered now is replayed from the next step on when
+            # an MBBA step would admit it (core.admit).
             for env in parts[k]:
-                if env.final and env.sender not in stars and well_formed(env, m, Phase.MBBA):
-                    stars[env.sender] = env
+                if env.final and env.sender not in stars:
+                    stars.update(admit([env], m, Phase.MBBA, None, codes))
             if plain:
                 by_sent[id(sent)] = k, stars
 
@@ -481,13 +483,8 @@ class PersistenceTracker:
     def __init__(self, m: int):
         self.m = m
         self.agreed: dict[int, int] = {}
-        self._row: Optional[tuple] = None  # the agreed values once all m are agreed
 
     def update(self, step_id: StepId, honest_bits: dict) -> list:
-        if self._row is not None and len(honest_bits) == 1:
-            (row,) = honest_bits.values()
-            if row == self._row:
-                return []
         out = []
         for c, column in zip(range(self.m), zip(*honest_bits.values())):
             value = column[0]
@@ -500,6 +497,4 @@ class PersistenceTracker:
                     )
             elif ok:
                 self.agreed[c] = value
-        if self._row is None and len(self.agreed) == self.m:
-            self._row = tuple([self.agreed[c] for c in range(self.m)])
         return out

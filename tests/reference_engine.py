@@ -10,17 +10,18 @@ The driver does not use ``SyncNetwork.tallies`` or trust the inbox grouping
 of ``run_step``: it rebuilds every honest recipient's adversary part from
 the adversary's raw output and its own record of bound senders, asserts that
 the delivered part encodes alike, and tallies each recipient's whole inbox
-with one ``ingest``.
+with one ``ingest``.  It checks the honest inputs and binds finals by its
+own form predicates, written per component, not by the payload codes that
+``mbasim.core.admit`` reads.
 """
 
 from mbasim.core import (
+    BOT,
     Phase,
     ambiguous_components,
     encode_envelope,
     encode_payload,
     ingest,
-    is_value_vector,
-    well_formed,
 )
 from mbasim.mba import ITERATION_CAP, Node, TrialRecord, resolve_output
 from mbasim.mbba import signature_check
@@ -34,6 +35,25 @@ from mbasim.netsim import (
 )
 
 
+def is_value_vector(payload, m):
+    """m components, each BOT or exactly ``bytes``, checked per component."""
+    return len(payload) == m and all(v is BOT or type(v) is bytes for v in payload)
+
+
+def is_bit_vector(payload, m):
+    """m components, each an exact int 0 or 1, checked per component."""
+    return len(payload) == m and all(type(b) is int and b in (0, 1) for b in payload)
+
+
+def formed(payload, m, phase):
+    """A tuple of m bits in MBBA, of m values in MGC, checked per component."""
+    if not isinstance(payload, tuple):
+        return False
+    if phase == Phase.MBBA:
+        return is_bit_vector(payload, m)
+    return is_value_vector(payload, m)
+
+
 def adversary_part(sends, recipient, bound, step_id, m):
     """What the adversary delivers to ``recipient``: the replays of the finals
     it was handed (``bound``: sender -> final) plus what the other corrupt
@@ -44,7 +64,7 @@ def adversary_part(sends, recipient, bound, step_id, m):
     part += [env for env in sent if env.sender not in bound]
     part.sort(key=encode_envelope)
     for env in part:
-        if env.final and env.sender not in bound and well_formed(env, m, Phase.MBBA):
+        if env.final and env.sender not in bound and formed(env.payload, m, Phase.MBBA):
             bound[env.sender] = env
     return part
 

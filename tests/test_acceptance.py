@@ -19,7 +19,6 @@ from mbasim.analysis import (
     EmpiricalHistogram,
     bound_check,
     coin_game_ccdf,
-    coin_game_oracle,
     coin_game_pmf,
 )
 from mbasim.core import BOT, MessageEnvelope, Phase, StepId, ingest, merge_tallies
@@ -31,6 +30,8 @@ from mbasim.scenarios import (
     build_inputs,
     scenario_rng,
 )
+from oracles import coin_game_oracle
+from reference_engine import formed
 from test_mgc import check_conditions
 
 GRID_NT = [(4, 1), (7, 2), (10, 3)]
@@ -266,11 +267,9 @@ def test_c7_graded_consensus_properties():
 
 def _recount_oracle(envelopes, m):
     """Brute-force reimplementation of the discarding rules for cross-checking."""
-    from mbasim.core import well_formed
-
     per_sender = {}
     for env in envelopes:
-        if not well_formed(env, m, Phase.MGC):
+        if env.final or not formed(env.payload, m, Phase.MGC):
             continue
         per_sender.setdefault(env.sender, set()).add((env.payload, env.final, env.signature))
     counts = [dict() for _ in range(m)]
@@ -316,16 +315,16 @@ def test_c8_tally_semantics():
         inbox = [e for e in envelopes if e.sender != 0] + [self_env]
         tally = ingest(inbox, m=m, phase=Phase.MGC)
         admitted, counts = _recount_oracle(inbox, m)
-        if tally.senders() != admitted or tally.counts != counts:
+        if set(tally.admitted) != admitted or tally.counts != counts:
             failures.append(case)
         # the low senders tallied, the high ones merged on top
         low = ingest([e for e in inbox if e.sender < n // 2], m=m, phase=Phase.MGC)
         merged = merge_tallies(low, [e for e in inbox if e.sender >= n // 2])
-        if merged.senders() != admitted or merged.counts != counts:
+        if set(merged.admitted) != admitted or merged.counts != counts:
             failures.append((case, "merge"))
         if 0 in admitted:
             saw["self"] += 1
-        if any(tally.total(c) > n for c in range(m)):
+        if any(sum(tally.counts[c].values()) > n for c in range(m)):
             failures.append((case, "sum exceeded n"))
         if len(failures) > 5:
             break

@@ -16,13 +16,14 @@ from mbasim.adversaries import (
     make_adversary,
 )
 from mbasim import mbba
-from mbasim.core import BOT, BitTally, MessageEnvelope, Phase, StepId, ingest, is_bit_vector
+from mbasim.core import BOT, BitTally, MessageEnvelope, Phase, StepId, ingest
 from mbasim.crypto import KeyPair, signing_message
 from mbasim.mba import Node, Trial, run_trial
 from mbasim.mbba import MbbaState, signature_check, signatures
 from mbasim.mgc import STEP1_ID, STEP2_ID
 from mbasim.netsim import Adversary, AdversaryView, NetworkConfig, SyncNetwork
 from mbasim.scenarios import build_inputs, scenario_rng
+from reference_engine import is_bit_vector
 
 
 def run_with(name, params=(), scenario=("ambiguous", (2,)), seed=0, n=7, t=2, m=4):
@@ -234,15 +235,15 @@ class TestSplitKeeper:
                           self.registry, self.common)
         sends = self.adv.act(view)
         tallies = self.tallies(view, sends)
-        pushed = [r for r in range(5) if tallies[r].count(1, 0) >= 5]
+        pushed = [r for r in range(5) if tallies[r].ones[0] >= 5]
         parked = [r for r in range(5) if r not in pushed]
         assert pushed, "somebody must cross the supermajority"
         assert parked, "somebody must stay in the dead zone"
         for r in pushed:
-            assert tallies[r].count(1, 0) == 5  # boundary case: exactly the threshold
+            assert tallies[r].ones[0] == 5  # boundary case: exactly the threshold
         for r in parked:
-            assert tallies[r].count(0, 0) <= 4
-            assert tallies[r].count(1, 0) <= 4
+            assert tallies[r].zeros[0] <= 4
+            assert tallies[r].ones[0] <= 4
 
     def test_step1_never_pushes_the_finalizing_bit(self):
         view = build_view(self.config, 1, {0: [0], 1: [0], 2: [0], 3: [1], 4: [1]},
@@ -250,7 +251,7 @@ class TestSplitKeeper:
         sends = self.adv.act(view)
         tallies = self.tallies(view, sends)
         for r in range(5):
-            assert tallies[r].count(0, 0) <= 4  # no forced zero-finalization
+            assert tallies[r].zeros[0] <= 4  # no forced zero-finalization
 
     def test_coin_step_splits_coin_when_corrupt_digest_wins(self):
         # find an iteration where a corrupt signature hashes below every honest one

@@ -12,9 +12,9 @@ from mbasim.analysis import (
     EmpiricalHistogram,
     bound_check,
     coin_game_ccdf,
-    coin_game_oracle,
     coin_game_pmf,
 )
+from oracles import coin_game_oracle
 
 
 class TestCcdf:
@@ -137,10 +137,9 @@ class TestBoundCheck:
             1 + coin_game_oracle(ambiguous, honest_ratio / 2, rng) + shift
             for _ in range(trials)
         ]
-        hist = EmpiricalHistogram.from_samples(samples)
+        hist = EmpiricalHistogram()
         for s in samples:
-            prev = hist.max_comm_by_iter.get(s, 0)
-            hist.max_comm_by_iter[s] = max(prev, 3 + 3 * (s - 1) + 2)
+            hist.add(s, 3 + 3 * (s - 1) + 2)
         return hist
 
     def test_samples_from_the_bound_itself_pass(self):
@@ -154,13 +153,12 @@ class TestBoundCheck:
         assert not report.passed
 
     def test_all_single_iteration_trivially_dominated(self):
-        hist = EmpiricalHistogram.from_samples([1] * 500)
+        hist = EmpiricalHistogram(counts={1: 500}, total=500)
         report = bound_check(hist, 0, 5 / 7)
         assert report.passed
 
     def test_comm_step_rows(self):
-        hist = EmpiricalHistogram.from_samples([2, 2, 3])
-        hist.max_comm_by_iter = {2: 9, 3: 20}
+        hist = EmpiricalHistogram(counts={2: 2, 3: 1}, total=3, max_comm_by_iter={2: 9, 3: 20})
         report = bound_check(hist, 1, 5 / 7)
         rows = {r["iterations"]: r for r in report.comm_rows}
         assert rows[2]["ok"]            # 9 <= 5 + 3 + 3

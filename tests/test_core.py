@@ -12,23 +12,24 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import reference_engine as ref
 from mbasim.core import (
     BOT,
     GradedPair,
     MessageEnvelope,
     Phase,
     StepId,
-    c_agreement,
+    admit,
     encode_envelope,
     encode_payload,
     ingest,
-    is_bit_vector,
     is_value_vector,
     merge_tallies,
     one_third_majority,
     two_thirds_majority,
 )
 from mbasim.crypto import KeyPair
+from oracles import c_agreement
 
 SID = StepId(Phase.MBBA, 0, 1)
 VSID = StepId(Phase.MGC, 0, 1)
@@ -68,39 +69,37 @@ class TestThresholds:
 class TestIngest:
     def test_empty_tally(self):
         tally = ingest([], m=2, phase=Phase.MBBA)
-        assert tally.count(0, 0) == 0 and tally.count(1, 1) == 0
-        assert tally.senders() == set()
+        assert (tally.zeros, tally.ones) == ([0, 0], [0, 0])
+        assert tally.admitted == {}
 
     def test_contrasting_messages_remove_sender(self):
         msgs = [bit_env(3, (0,)), bit_env(3, (1,))]
         tally = ingest(msgs, m=1, phase=Phase.MBBA)
-        assert tally.count(0, 0) == 0
-        assert tally.count(1, 0) == 0
-        assert 3 not in tally.senders()
+        assert (tally.zeros, tally.ones) == ([0], [0])
+        assert 3 not in tally.admitted
 
     def test_identical_duplicates_count_once(self):
         msgs = [bit_env(3, (1,)), bit_env(3, (1,))]
         tally = ingest(msgs, m=1, phase=Phase.MBBA)
-        assert tally.count(1, 0) == 1
+        assert tally.ones == [1]
 
     def test_self_message_included(self):
         mine = bit_env(0, (1, 0))
         tally = ingest([bit_env(1, (1, 1)), mine], m=2, phase=Phase.MBBA)
-        assert tally.count(1, 0) == 2
-        assert tally.count(0, 1) == 1
-        assert tally.senders() == {0, 1}
+        assert tally.ones[0] == 2
+        assert tally.zeros[1] == 1
+        assert set(tally.admitted) == {0, 1}
 
     def test_unanimous_value_count(self):
         msgs = [val_env(i, (b"9",)) for i in range(4)]
         tally = ingest(msgs, m=1, phase=Phase.MGC)
-        assert tally.count(b"9", 0) == 4
+        assert tally.counts[0] == {b"9": 4}
 
     def test_three_one_split_matches_four_node_column(self):
         # first column of the canonical 4-observer example
         msgs = [val_env(0, (b"9",)), val_env(1, (b"9",)), val_env(2, (b"9",)), val_env(3, (b"0",))]
         tally = ingest(msgs, m=1, phase=Phase.MGC)
-        assert tally.count(b"9", 0) == 3
-        assert tally.count(b"0", 0) == 1
+        assert tally.counts[0] == {b"9": 3, b"0": 1}
 
     def test_equivocation_removal_leaves_three_per_component(self):
         # hand-enumerated: 4 senders, sender 2 equivocates, all components drop to 3
@@ -113,23 +112,22 @@ class TestIngest:
         ]
         tally = ingest(msgs, m=2, phase=Phase.MGC)
         for c in range(2):
-            assert tally.total(c) == 3
-        assert tally.count(b"a", 0) == 3
-        assert tally.count(b"z", 0) == 0
+            assert sum(tally.counts[c].values()) == 3
+        assert tally.counts[0] == {b"a": 3}
 
     def test_wrong_length_payload_discarded(self):
         tally = ingest([bit_env(0, (1, 1)), bit_env(1, (1,))], m=1, phase=Phase.MBBA)
-        assert tally.senders() == {1}
+        assert set(tally.admitted) == {1}
 
     def test_wrong_kind_discarded(self):
         msgs = [bit_env(0, (1,)), val_env(1, (b"x",), sid=SID)]
         tally = ingest(msgs, m=1, phase=Phase.MBBA)
-        assert tally.senders() == {0}
+        assert set(tally.admitted) == {0}
 
     def test_final_requires_bit_payload(self):
         bad = MessageEnvelope(0, VSID, (b"x",), final=True)
         tally = ingest([bad], m=1, phase=Phase.MGC)
-        assert tally.senders() == set()
+        assert tally.admitted == {}
 
     def test_signature_required_unless_final(self):
         good = bit_env(0, (1,), sig=b"ok")
@@ -142,19 +140,18 @@ class TestIngest:
             phase=Phase.MBBA,
             signature_check=lambda env: env.signature == b"ok",
         )
-        assert tally.senders() == {0, 3}
+        assert set(tally.admitted) == {0, 3}
 
     def test_bool_components_are_not_bits(self):
         tally = ingest([bit_env(0, (True,))], m=1, phase=Phase.MBBA)
-        assert tally.senders() == set()
+        assert tally.admitted == {}
 
     def test_numbers_equal_to_bits_are_not_bits(self):
         msgs = [bit_env(0, (1.0, 0)), bit_env(1, (True, 0)), bit_env(2, (0, 1))]
         tally = ingest(msgs, m=2, phase=Phase.MBBA)
-        assert tally.senders() == {2}
-        assert tally.count(1, 0) == 0
-        assert tally.count(0, 0) == 1
-        assert type(tally.count(0, 0)) is int
+        assert set(tally.admitted) == {2}
+        assert (tally.zeros, tally.ones) == ([1, 0], [0, 1])
+        assert all(type(k) is int for k in tally.zeros + tally.ones)
 
     @pytest.mark.parametrize(
         "payload",
@@ -164,12 +161,15 @@ class TestIngest:
         ],
     )
     def test_is_bit_vector_rejects_non_bits(self, payload):
-        assert not is_bit_vector(payload, 2)
+        assert not ref.is_bit_vector(payload, 2)
+        assert ingest([bit_env(0, payload)], m=2, phase=Phase.MBBA).admitted == {}
 
     @pytest.mark.parametrize("payload", [(0, 1), (1, 1)])
     def test_is_bit_vector_accepts_ints(self, payload):
-        assert is_bit_vector(payload, 2)
-        assert not is_bit_vector(payload, 3)
+        assert ref.is_bit_vector(payload, 2)
+        assert not ref.is_bit_vector(payload, 3)
+        assert set(ingest([bit_env(0, payload)], m=2, phase=Phase.MBBA).admitted) == {0}
+        assert ingest([bit_env(0, payload)], m=3, phase=Phase.MBBA).admitted == {}
 
     def test_bad_signature_copy_is_not_equivocation(self):
         # unique signatures: only one signature verifies, so a tampered copy
@@ -183,15 +183,8 @@ class TestIngest:
             phase=Phase.MBBA,
             signature_check=lambda env: env.signature == b"ok",
         )
-        assert tally.senders() == {0}
-        assert tally.count(1, 0) == 1
-
-    def test_count_out_of_range_component(self):
-        tally = ingest([bit_env(0, (1,))], m=1, phase=Phase.MBBA)
-        with pytest.raises(IndexError):
-            tally.count(1, 1)
-        with pytest.raises(IndexError):
-            tally.count(1, -1)
+        assert set(tally.admitted) == {0}
+        assert tally.ones == [1]
 
 
 class TestCAgreement:
@@ -281,9 +274,9 @@ def test_nested_envelope_encodes_as_a_tuple_and_is_dropped(phase):
     formed = (0, 1, 0, 1, 0) if phase == Phase.MBBA else (b"a",) * 5
     honest = MessageEnvelope(0, sid, formed)
     nested = MessageEnvelope(1, sid, inner)
-    assert ingest([honest, nested], m=5, phase=phase).senders() == {0}
+    assert set(ingest([honest, nested], m=5, phase=phase).admitted) == {0}
     merged = merge_tallies(ingest([honest], m=5, phase=phase), [nested])
-    assert merged.senders() == {0}
+    assert set(merged.admitted) == {0}
 
 
 class TestGradedPair:
@@ -344,7 +337,7 @@ def test_ingest_order_insensitive_and_duplication_idempotent(envs, rng):
     doubled = shuffled + [e for e in envs if rng.random() < 0.5]
     again = ingest(doubled, m=m, phase=phase)
     assert again.counts == reference.counts
-    assert again.senders() == reference.senders()
+    assert set(again.admitted) == set(reference.admitted)
 
 
 @given(envelope_batches())
@@ -352,10 +345,10 @@ def test_ingest_counts_bounded_by_sender_count(envs):
     n = 6
     tally = ingest(envs, m=2, phase=Phase.MGC)
     for c in range(2):
-        assert tally.total(c) <= n
+        assert sum(tally.counts[c].values()) <= n
     # equality iff every sender contributed exactly one well-formed message
-    wellformed_single = len(tally.senders()) == n
-    assert (tally.total(0) == n) == wellformed_single
+    wellformed_single = len(tally.admitted) == n
+    assert (sum(tally.counts[0].values()) == n) == wellformed_single
 
 
 @given(envelope_batches(), st.integers(min_value=0, max_value=5))
@@ -377,7 +370,7 @@ def test_merge_matches_joint_ingest_on_disjoint_groups(first, second):
     before = [dict(column) for column in base.counts]
     merged = merge_tallies(base, second)
     assert merged.counts == joint.counts
-    assert merged.senders() == joint.senders()
+    assert set(merged.admitted) == set(joint.admitted)
     assert base.counts == before  # the base is not changed
 
 
@@ -386,7 +379,7 @@ def test_merge_rejects_overlapping_senders():
     with pytest.raises(ValueError):
         merge_tallies(a, [val_env(0, (b"b",))])
     # a sender the merge drops does not overlap
-    assert merge_tallies(a, [val_env(0, (b"b", b"c"))]).senders() == {0}
+    assert set(merge_tallies(a, [val_env(0, (b"b", b"c"))]).admitted) == {0}
 
 
 @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=9))
@@ -456,11 +449,9 @@ def _reference_bit_recount(envs, m, signature_check=None):
 
 def _assert_matches_recount(tally, envs, m, signature_check):
     senders, counts = _reference_bit_recount(envs, m, signature_check)
-    assert tally.senders() == senders
+    assert set(tally.admitted) == senders
     for c in range(m):
-        for v in (0, 1, 2, True):
-            assert tally.count(v, c) == counts[c].get(v, 0)
-        assert tally.total(c) == sum(counts[c].values())
+        assert (tally.zeros[c], tally.ones[c]) == (counts[c].get(0, 0), counts[c].get(1, 0))
 
 
 @given(bit_batches(), st.booleans())
@@ -484,7 +475,7 @@ def test_merge_matches_joint_ingest_on_disjoint_groups_bits(first, second):
     before = (base.zeros[:], base.ones[:])
     merged = merge_tallies(base, second)
     assert (merged.zeros, merged.ones) == (joint.zeros, joint.ones)
-    assert merged.senders() == joint.senders()
+    assert set(merged.admitted) == set(joint.admitted)
     assert (base.zeros, base.ones) == before  # the base is not changed
 
 
@@ -495,10 +486,10 @@ def test_merge_admits_by_the_base_signature_check():
     part = [bit_env(1, (0,))]
     checked = ingest(own, m=1, phase=Phase.MBBA, signature_check=SIG_OK)
     merged = merge_tallies(checked, part)
-    assert merged.senders() == {0}
+    assert set(merged.admitted) == {0}
     assert merged.signature_check is SIG_OK
     merged = merge_tallies(ingest(own, m=1, phase=Phase.MBBA), part)
-    assert merged.senders() == {0, 1}
+    assert set(merged.admitted) == {0, 1}
     assert (merged.zeros, merged.ones) == ([1], [1])
 
 
@@ -507,7 +498,7 @@ def test_merge_onto_bits_drops_value_envelopes_as_malformed():
     bits = ingest([bit_env(0, (1,))], m=1, phase=Phase.MBBA)
     merged = merge_tallies(bits, [val_env(1, (b"a",)), bit_env(2, (0,))])
     assert merged.phase == Phase.MBBA
-    assert merged.senders() == {0, 2}
+    assert set(merged.admitted) == {0, 2}
     assert (merged.zeros, merged.ones) == ([1], [1])
 
 
@@ -631,18 +622,8 @@ def _reference_encode_envelope(env):
     )
 
 
-def _reference_is_value_vector(payload, m):
-    """is_value_vector written per component."""
-    return len(payload) == m and all(v is BOT or type(v) is bytes for v in payload)
-
-
 class _Blob(bytes):
     """A bytes subclass: not a value component."""
-
-
-def _reference_is_bit_vector(payload, m):
-    """is_bit_vector written per component: exact ints 0 and 1."""
-    return len(payload) == m and all(type(b) is int and b in (0, 1) for b in payload)
 
 
 class _Level(IntEnum):
@@ -693,15 +674,24 @@ def test_opaque_components_share_one_tag_and_no_repr():
     assert encode_payload([0, 1]) == b"?"  # not a tuple: never a bit vector
 
 
-@given(_payloads, st.integers(0, 5))
-def test_is_bit_vector_matches_reference(payload, m):
-    assert is_bit_vector(payload, m) == _reference_is_bit_vector(payload, m)
+@given(_payloads, st.integers(0, 5), st.booleans())
+def test_is_bit_vector_matches_reference(payload, m, final):
+    # admission by the code (``B``) against the per-component bit rule; a
+    # final is admitted alike, which is what binds its sender
+    env = bit_env(0, payload, final=final)
+    for length in (m, len(payload)):
+        admitted = admit([env], length, Phase.MBBA, None, None)
+        assert bool(admitted) == ref.is_bit_vector(payload, length)
 
 
 @given(_payloads, st.integers(0, 5))
 def test_is_value_vector_matches_reference(payload, m):
+    env = val_env(0, payload)
     for length in (m, len(payload)):
-        assert is_value_vector(payload, length) == _reference_is_value_vector(payload, length)
+        assert is_value_vector(payload, length) == ref.is_value_vector(payload, length)
+        if length:  # m >= 1 (NetworkConfig); the empty tuple's code is B
+            admitted = admit([env], length, Phase.MGC, None, None)
+            assert bool(admitted) == ref.is_value_vector(payload, length)
 
 
 @given(
@@ -741,21 +731,12 @@ def shared_payload_inboxes(draw, m=3, n=8, first_sender=0):
     return draw(st.permutations(envs))
 
 
-def _reference_formed(payload, m, phase):
-    """A tuple of m bits in MBBA, of m values in MGC, checked per component."""
-    if not isinstance(payload, tuple):
-        return False
-    if phase == Phase.MBBA:
-        return _reference_is_bit_vector(payload, m)
-    return _reference_is_value_vector(payload, m)
-
-
 def _reference_recount(envs, m, phase, signature_check):
     """ingest's discarding rules and counts, one envelope at a time."""
     by_sender: dict = {}
     conflict = object()
     for env in envs:
-        formed = _reference_formed(env.payload, m, phase)
+        formed = ref.formed(env.payload, m, phase)
         if phase == Phase.MGC and env.final:
             formed = False
         if not formed or (signature_check and not env.final and not signature_check(env)):

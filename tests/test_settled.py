@@ -1,7 +1,10 @@
 """Settled steps (:func:`mbasim.mba.settled`): where no t corrupt votes can
 move the step's transition, every class steps once on the honest part's
 tally.  The rule is checked against every recipient's exact tally on the
-real engine, and on synthetic tallies drawn around each boundary."""
+real engine, under every strategy and a test-only probe of MGC step 2's
+grade-1 boundary, and on synthetic tallies drawn around each boundary."""
+
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +24,7 @@ from mbasim.core import (
 from mbasim.mba import Trial, settled
 from mbasim.mbba import MbbaState
 from mbasim.mgc import STEP1_ID, STEP2_ID, MgcState
-from mbasim.netsim import NetworkConfig
+from mbasim.netsim import Adversary, NetworkConfig
 from mbasim.scenarios import build_inputs, scenario_rng
 
 STRATEGIES = [
@@ -32,6 +35,34 @@ STRATEGIES = [
     ("split_keeper", ()),
     ("random_byzantine", ()),
 ]
+
+
+class GradeOneProbe(Adversary):
+    """Test-only strategy at MGC step 2's grade-1 boundary.  In MGC step 1
+    every corrupt node sends the lowest honest node's vector v to that node
+    alone, so only it relays v; in MGC step 2 they send v to every honest
+    node.  With ``split`` inputs at n = 7, t = 2 (nodes 0-2 hold v, 3-4
+    another vector), one honest node relays v, and each recipient's exact
+    tally grades v 1 (1 + t = floor(n/3) + 1), so step 2 must not settle.
+    It is silent in MBBA."""
+
+    name = "grade_one_probe"
+
+    def act(self, view):
+        if view.step_id == STEP1_ID:
+            self.v = view.honest_envelopes[0].payload
+            sends = [MessageEnvelope(c, STEP1_ID, self.v) for c in self.corrupt_ids]
+            return {view.honest_ids[0]: sends}
+        if view.step_id == STEP2_ID:
+            return [MessageEnvelope(c, STEP2_ID, self.v) for c in self.corrupt_ids]
+        return []
+
+
+CASES = {
+    f"{name}{''.join(map(str, params))}": partial(build_adversary, name, params)
+    for name, params in STRATEGIES
+}
+CASES["grade_one_probe"] = GradeOneProbe
 
 CELLS = [
     (n, t, m, scenario)
@@ -54,16 +85,14 @@ def outcome(node, sid, tally):
     return copy.apply(tally), copy.bits, copy.flags, copy.output
 
 
-@pytest.mark.parametrize(
-    "name, params", STRATEGIES, ids=[f"{name}{''.join(map(str, p))}" for name, p in STRATEGIES]
-)
-def test_every_recipient_steps_as_the_shared_tally(name, params):
+@pytest.mark.parametrize("case", CASES)
+def test_every_recipient_steps_as_the_shared_tally(case):
     fired = unsettled = 0  # settled steps; unsettled steps past MGC step 1
     for n, t, m, scenario in CELLS:
         for seed in range(3):
             config = NetworkConfig(n, t, m, seed)
             inputs = build_inputs(*scenario, config, scenario_rng(seed))
-            trial = Trial(config, inputs, build_adversary(name, params))
+            trial = Trial(config, inputs, CASES[case]())
             while True:
                 before = [node.split(node.ids[:]) for node in trial.active]
                 delivery = trial.step()
@@ -83,7 +112,7 @@ def test_every_recipient_steps_as_the_shared_tally(name, params):
             rec = trial.record()
             assert rec.halted and not rec.monitor_violations, (n, m, scenario, seed)
     assert fired
-    if name == "split_keeper":  # it keeps some step past MGC step 1 open
+    if case in ("split_keeper", "grade_one_probe"):  # they keep a step past MGC step 1 open
         assert unsettled
 
 
